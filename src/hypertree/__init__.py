@@ -14,8 +14,7 @@ from .hypercodec import (
 )
 from .navigate import NavIndex, build_nav
 from .rmq import (
-    RMQIndex, RunsProfile, cartesian_tree, dyck_peaks, rmq_build, rmq_query,
-    runs_profile,
+    RMQIndex, RunsProfile, cartesian_tree, dyck_peaks, rmq_build, runs_profile,
 )
 from .trees import (
     BinaryTree, OrdinalTree, TreeAnnotation, annotate, bp_decode_binary,

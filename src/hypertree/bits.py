@@ -1,5 +1,4 @@
-"""Bit-exact primitives: bit buffers, MSB-first cursors, Elias gamma,
-and variable-cell arrays for random access into concatenated payloads."""
+"""Bit-exact primitives: bit buffers, MSB-first cursors, and Elias gamma."""
 
 from __future__ import annotations
 
@@ -58,16 +57,6 @@ class BitBuf:
         self._acc = acc & ((1 << accbits) - 1)
         self._accbits = accbits
         self._len += width
-
-    def extend(self, other: "BitBuf") -> None:
-        n = other._len
-        full, rem = divmod(n, 8)
-        by = other._bytes
-        for i in range(full):
-            self.append_bits(by[i], 8)
-        if rem:
-            last = by[full] if full < len(by) else other._acc << (8 - other._accbits)
-            self.append_bits(last >> (8 - rem), rem)
 
     def get(self, i: int) -> int:
         if not 0 <= i < self._len:
@@ -135,9 +124,6 @@ class BitCursor:
     def at_end(self) -> bool:
         return self.pos >= self._len
 
-    def remaining(self) -> int:
-        return self._len - self.pos
-
     def read_bit(self) -> int:
         if self.pos >= self._len:
             raise MalformedStream("bit stream exhausted")
@@ -198,56 +184,3 @@ def gamma_length(n: int) -> int:
     if n < 1:
         raise ValueError("gamma code needs n >= 1")
     return 2 * (n.bit_length() - 1) + 1
-
-
-class VarCellArray:
-    """Concatenated variable-length bit cells with O(1) offset lookup.
-
-    Two-level index: absolute bit offsets every ``b`` cells plus per-cell
-    offsets within the block. Block size is fixed at 64 cells.
-    """
-
-    BLOCK = 64
-
-    def __init__(self, cells: list[BitBuf]):
-        data = BitBuf()
-        block_start: list[int] = []
-        local_start: list[int] = []
-        pos = 0
-        for i, c in enumerate(cells):
-            if i % self.BLOCK == 0:
-                block_start.append(pos)
-            local_start.append(pos - block_start[-1])
-            data.extend(c)
-            pos += len(c)
-        self.data = data
-        self.block_start = block_start
-        self.block_local_start = local_start
-        self.m = len(cells)
-
-    def offset(self, i: int) -> int:
-        if i == self.m:
-            return len(self.data)
-        return self.block_start[i // self.BLOCK] + self.block_local_start[i]
-
-    def access(self, i: int) -> tuple[int, int]:
-        """Return (bit offset, bit length) of cell ``i``."""
-        if not 0 <= i < self.m:
-            raise IndexError(i)
-        off = self.offset(i)
-        return off, self.offset(i + 1) - off
-
-    def cell(self, i: int) -> BitBuf:
-        off, length = self.access(i)
-        out = BitBuf()
-        for k in range(off, off + length):
-            out.append_bit(self.data.get(k))
-        return out
-
-
-def vca_build(cells: list[BitBuf]) -> VarCellArray:
-    return VarCellArray(cells)
-
-
-def vca_access(a: VarCellArray, i: int) -> tuple[int, int]:
-    return a.access(i)

@@ -13,10 +13,10 @@ import sys
 from .bits import MalformedStream
 from .cover import decompose_binary, decompose_ordinal
 from .hypercodec import (
-    HsBlob, hs_decode_binary, hs_decode_ordinal, hs_encode_binary,
-    hs_encode_ordinal, read_hst, write_hst,
+    hs_decode_binary, hs_decode_ordinal, hs_encode_binary, hs_encode_ordinal,
+    read_hst, write_hst,
 )
-from .rmq import rmq_build, runs_profile, cartesian_tree
+from .rmq import RMQIndex, rmq_build, runs_profile
 from .navigate import build_nav
 from . import sources as srcs
 from .trees import (
@@ -150,8 +150,7 @@ def cmd_rmq(args) -> int:
         vals = _read_array(args.arg1)
         if args.arg2 is None:
             raise MalformedStream("rmq build needs IN OUT")
-        t = cartesian_tree(vals)
-        write_hst(args.arg2, hs_encode_binary(t, args.block))
+        write_hst(args.arg2, rmq_build(vals, args.block).blob)
         return 0
     if args.action == "query":
         blob = read_hst(args.arg1)
@@ -159,9 +158,10 @@ def cmd_rmq(args) -> int:
         if args.arg2 is None or args.arg3 is None:
             raise MalformedStream("rmq query needs IN I J")
         i, j = int(args.arg2), int(args.arg3)
-        u = nav.inorder_select(i)
-        v = nav.inorder_select(j)
-        print(nav.inorder_rank(nav.lca(u, v)))
+        try:
+            print(RMQIndex(nav, nav.n, blob).query(i, j))
+        except IndexError as exc:
+            return _fail(str(exc))
         return 0
     if args.action == "runs":
         vals = _read_array(args.arg1)

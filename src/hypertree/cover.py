@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .trees import BinaryTree, OrdinalTree, annotate, bp_encode_binary
+from .trees import BinaryTree, OrdinalTree, annotate
 
 # parent edge types of ordinal micro trees, in the order (i)..(v)
 EDGE_NEW_LEFT, EDGE_CONT_LEFT, EDGE_NEW_RIGHT, EDGE_CONT_RIGHT, EDGE_EXTERNAL = range(5)
@@ -176,6 +176,7 @@ def decompose_binary(t: BinaryTree, B: int | None = None) -> BinaryCover:
                     heads[c] = v
                     csize[c] += 1
             else:
+                other = rc
                 if lc:
                     c = lc
                     nxt[v] = heads[c]
@@ -187,11 +188,6 @@ def decompose_binary(t: BinaryTree, B: int | None = None) -> BinaryCover:
                     tails.append(v)
                     csize.append(1)
                     perm.append(False)
-                    other = rc
-            if heavy_l or heavy_r:
-                pass
-            else:
-                other = rc
             if other:
                 nxt[tails[c]] = heads[other]
                 tails[c] = tails[other]
@@ -216,19 +212,17 @@ def decompose_binary(t: BinaryTree, B: int | None = None) -> BinaryCover:
 
 
 class _ShapeInfo:
-    __slots__ = ("tree", "sid", "inorder", "left_size", "bp")
+    __slots__ = ("tree", "inorder", "left_size")
 
-    def __init__(self, llocal, rlocal, sid):
+    def __init__(self, llocal, rlocal):
         mu = len(llocal) - 1
         self.tree = BinaryTree(mu, list(llocal), list(rlocal))
-        self.sid = sid
         ann = annotate(self.tree)
         self.inorder = ann.inorder_rank
         ls = [0] * (mu + 1)
         for j in range(1, mu + 1):
             ls[j] = ann.subtree_size[llocal[j]] if llocal[j] else 0
         self.left_size = ls
-        self.bp = bp_encode_binary(self.tree).to_paren()
 
 
 def _finalize_binary(t: BinaryTree, B: int, sealed: list[int], root_cid: int,
@@ -277,8 +271,7 @@ def _finalize_binary(t: BinaryTree, B: int, sealed: list[int], root_cid: int,
         key = (lloc[a:b].tobytes(), rloc[a:b].tobytes())
         info = shape_registry.get(key)
         if info is None:
-            info = _ShapeInfo([0] + lloc[a:b].tolist(), [0] + rloc[a:b].tolist(),
-                              len(shape_registry))
+            info = _ShapeInfo([0] + lloc[a:b].tolist(), [0] + rloc[a:b].tolist())
             shape_registry[key] = info
         infos_of[i] = info
         mt = new_micro(MicroTree)

@@ -14,6 +14,13 @@ The codebook stores gamma(|alphabet|+1), then per shape in canonical order
 and gamma(length+1); canonical codewords are reconstructed from lengths.
 Portal fields are sized from the largest codebook shape so a blob decodes
 without knowing B.
+
+Both kinds share one writer (``_write_blob``) and one reader of the parts
+up to the portal fields (``_read_blob``). A binary blob's contents are the
+layout tuple (n, top tier, shape BP per micro, portal field pair per micro,
+each field 1 + the portal's null rank or 0 for none): ``binary_layout``
+builds it from a cover, ``parse_binary_blob`` reads it back from the bits,
+and the navigation index is built from it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode, gamma_length
+from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode
 from .cover import (
     EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_EXTERNAL, EDGE_NEW_LEFT, EDGE_NEW_RIGHT,
     BinaryCover, OrdinalCover, decompose_binary, decompose_ordinal,
@@ -45,26 +52,30 @@ class ShapeCode:
         self.freq = dict(freq)
         lengths = _huffman_lengths(self.freq)
         # canonical order: (codeword length asc, BP string lex asc)
-        self.order = sorted(lengths, key=lambda s: (lengths[s], s))
+        self._canonize(sorted(lengths, key=lambda s: (lengths[s], s)), lengths)
+
+    def _canonize(self, order: list[str], lengths: dict[str, int]) -> None:
+        """Assign canonical codewords in ``order`` and the per-length decode
+        tables (first codeword, symbols)."""
+        self.order = order
         self.code_len = lengths
         self.codewords: dict[str, tuple[int, int]] = {}
-        code = 0
-        prev = 0
-        for s in self.order:
-            L = lengths[s]
-            code <<= L - prev
-            self.codewords[s] = (code, L)
-            code += 1
-            prev = L
-        # canonical decode tables per length
         self._first: dict[int, int] = {}
         self._syms: dict[int, list[str]] = {}
-        for s in self.order:
+        code = 0
+        prev = 0
+        for s in order:
             L = lengths[s]
+            code <<= L - prev
+            if code >= (1 << L):
+                raise MalformedStream("codebook lengths violate Kraft")
+            self.codewords[s] = (code, L)
             if L not in self._first:
-                self._first[L] = self.codewords[s][0]
+                self._first[L] = code
                 self._syms[L] = []
             self._syms[L].append(s)
+            code += 1
+            prev = L
         self.max_len = max(lengths.values())
 
     def kraft_sum(self) -> float:
@@ -90,30 +101,11 @@ class ShapeCode:
     def from_lengths(cls, shapes_and_lengths: list[tuple[str, int]]) -> "ShapeCode":
         obj = cls.__new__(cls)
         obj.freq = {s: 1 for s, _ in shapes_and_lengths}
-        obj.code_len = dict(shapes_and_lengths)
-        obj.order = [s for s, _ in shapes_and_lengths]
-        if sorted(obj.order, key=lambda s: (obj.code_len[s], s)) != obj.order:
+        lengths = dict(shapes_and_lengths)
+        order = [s for s, _ in shapes_and_lengths]
+        if sorted(order, key=lambda s: (lengths[s], s)) != order:
             raise MalformedStream("codebook not in canonical order")
-        obj.codewords = {}
-        code = 0
-        prev = 0
-        for s in obj.order:
-            L = obj.code_len[s]
-            code <<= L - prev
-            if code >= (1 << L):
-                raise MalformedStream("codebook lengths violate Kraft")
-            obj.codewords[s] = (code, L)
-            code += 1
-            prev = L
-        obj._first = {}
-        obj._syms = {}
-        for s in obj.order:
-            L = obj.code_len[s]
-            if L not in obj._first:
-                obj._first[L] = obj.codewords[s][0]
-                obj._syms[L] = []
-            obj._syms[L].append(s)
-        obj.max_len = max(obj.code_len.values())
+        obj._canonize(order, lengths)
         return obj
 
 
@@ -170,29 +162,26 @@ def restrict(code: ShapeCode, bp: str, out: BitBuf | None = None) -> BitBuf:
         buf.append_bits(cw[0], cw[1])
     else:
         buf.append_bit(0)
-        gamma_encode(size + 1, buf)
-        for ch in bp:
-            buf.append_bit(1 if ch == "(" else 0)
+        _write_sized_bp(bp, buf)
     return buf
-
-
-def restricted_length(code: ShapeCode, bp: str) -> int:
-    size = len(bp) // 2
-    cw = code.codewords.get(bp)
-    esc = 1 + gamma_length(size + 1) + 2 * size
-    if cw is not None and cw[1] <= _escape_threshold(size):
-        return 1 + cw[1]
-    return esc
 
 
 def _read_restricted(code: ShapeCode, cur: BitCursor) -> str:
     if cur.read_bit():
         return code.decode_symbol(cur)
+    return _read_sized_bp(cur)
+
+
+def _write_sized_bp(bp: str, buf: BitBuf) -> None:
+    """gamma(size+1), then the BP bits of a shape."""
+    gamma_encode(len(bp) // 2 + 1, buf)
+    for ch in bp:
+        buf.append_bit(1 if ch == "(" else 0)
+
+
+def _read_sized_bp(cur: BitCursor) -> str:
     size = gamma_decode(cur) - 1
-    bits = []
-    for _ in range(2 * size):
-        bits.append("(" if cur.read_bit() else ")")
-    return "".join(bits)
+    return "".join("(" if cur.read_bit() else ")" for _ in range(2 * size))
 
 
 class HsBlob:
@@ -232,9 +221,7 @@ class HsBlob:
 def _emit_codebook(code: ShapeCode, buf: BitBuf) -> None:
     gamma_encode(len(code.order) + 1, buf)
     for s in code.order:
-        gamma_encode(len(s) // 2 + 1, buf)
-        for ch in s:
-            buf.append_bit(1 if ch == "(" else 0)
+        _write_sized_bp(s, buf)
         gamma_encode(code.code_len[s] + 1, buf)
 
 
@@ -242,13 +229,9 @@ def _read_codebook(cur: BitCursor) -> ShapeCode:
     k = gamma_decode(cur) - 1
     if k < 1:
         raise MalformedStream("empty codebook")
-    entries = []
-    for _ in range(k):
-        size = gamma_decode(cur) - 1
-        bp = "".join("(" if cur.read_bit() else ")" for _ in range(2 * size))
-        ln = gamma_decode(cur) - 1
-        entries.append((bp, ln))
-    return ShapeCode.from_lengths(entries)
+    # (BP string, codeword length) per shape, in canonical order
+    return ShapeCode.from_lengths(
+        [(_read_sized_bp(cur), gamma_decode(cur) - 1) for _ in range(k)])
 
 
 def _portal_width(code: ShapeCode) -> int:
@@ -256,8 +239,89 @@ def _portal_width(code: ShapeCode) -> int:
     return max(1, math.ceil(math.log2(mu_star + 2)))
 
 
+def _micro_bps(micros, encode) -> list[str]:
+    """BP string of each micro tree's shape; micro trees share shape objects."""
+    bp_of: dict[int, str] = {}
+    out = []
+    for mt in micros:
+        s = bp_of.get(id(mt.shape))
+        if s is None:
+            s = bp_of[id(mt.shape)] = encode(mt.shape).to_paren()
+        out.append(s)
+    return out
+
+
+def _write_blob(kind: str, n: int, top, shapes: list[str],
+                fields: list[tuple[int, int]], edge_types: list[int]) -> HsBlob:
+    """Serialize either kind: header, top-tier BP, codebook, restricted
+    codewords, one pair of portal fields per micro tree, 3-bit edge types."""
+    code = build_shape_code(shapes)
+    w = _portal_width(code)
+    buf = BitBuf()
+    parts: dict[str, int] = {}
+
+    def close(part: str) -> None:
+        parts[part] = len(buf) - sum(parts.values())
+
+    gamma_encode(n + 1, buf)
+    gamma_encode(len(shapes) + 1, buf)
+    close("header")
+    (bp_encode_binary if kind == "binary" else bp_encode_ordinal)(top, buf)
+    close("topTierBP")
+    _emit_codebook(code, buf)
+    close("codebook")
+    for s in shapes:
+        restrict(code, s, buf)
+    close("codewords")
+    for a, b in fields:
+        buf.append_bits(a, w)
+        buf.append_bits(b, w)
+    close("portals")
+    for ty in edge_types:
+        buf.append_bits(ty, 3)
+    close("edgeTypes")
+    parts["huffman"] = code.total_bits()
+    parts["total"] = len(buf)
+    return HsBlob(kind, buf, parts)
+
+
+def _read_blob(blob: HsBlob, kind: str):
+    """Read what both kinds share, up to the portal fields. Returns (cursor,
+    n, top tier, shape BP per micro, portal field pair per micro)."""
+    if blob.kind != kind:
+        raise MalformedStream(f"expected a {kind} blob, got {blob.kind}")
+    cur = BitCursor(blob.bits)
+    n = gamma_decode(cur) - 1
+    m = gamma_decode(cur) - 1
+    if n < 1 or m < 1:
+        raise MalformedStream("bad header")
+    # the ordinal top tier has a dummy root above the m micro trees
+    top_n = m if kind == "binary" else m + 1
+    top_bits = BitBuf()
+    for _ in range(2 * top_n):
+        top_bits.append_bit(cur.read_bit())
+    top = bp_decode_binary(top_bits) if kind == "binary" else bp_decode_ordinal(top_bits)
+    if top.n != top_n:
+        raise MalformedStream("top tier size mismatch")
+    code = _read_codebook(cur)
+    shapes = [_read_restricted(code, cur) for _ in range(m)]
+    w = _portal_width(code)
+    fields = [(cur.read_bits(w), cur.read_bits(w)) for _ in range(m)]
+    return cur, n, top, shapes, fields
+
+
 # ---------------------------------------------------------------------------
 # binary encode / decode
+
+def binary_layout(cover: BinaryCover):
+    """The layout of a binary cover: (n, top tier, shape BP string per micro,
+    portal field pair per micro), as ``parse_binary_blob`` reads it back. A
+    portal field is 1 + the portal's null rank in the micro's shape, or 0."""
+    fields = [(0 if mt.left_portal is None else mt.left_portal + 1,
+               0 if mt.right_portal is None else mt.right_portal + 1)
+              for mt in cover.micro]
+    return cover.n, cover.top_tier, _micro_bps(cover.micro, bp_encode_binary), fields
+
 
 def hs_encode_binary(t: BinaryTree, B: int | None = None,
                      cover: BinaryCover | None = None) -> HsBlob:
@@ -265,42 +329,17 @@ def hs_encode_binary(t: BinaryTree, B: int | None = None,
         raise ValueError("cannot encode the empty tree")
     if cover is None:
         cover = decompose_binary(t, B)
-    bp_cache: dict[int, str] = {}
-    micro_bp = []
-    for mt in cover.micro:
-        s = bp_cache.get(id(mt.shape))
-        if s is None:
-            s = bp_cache[id(mt.shape)] = bp_encode_binary(mt.shape).to_paren()
-        micro_bp.append(s)
-    code = build_shape_code(micro_bp)
-    m = len(cover.micro)
-    w = _portal_width(code)
-
-    buf = BitBuf()
-    parts: dict[str, int] = {}
-    gamma_encode(t.n + 1, buf)
-    gamma_encode(m + 1, buf)
-    parts["header"] = len(buf)
-    bp_encode_binary(cover.top_tier, buf)
-    parts["topTierBP"] = len(buf) - sum(parts.values())
-    _emit_codebook(code, buf)
-    parts["codebook"] = len(buf) - sum(parts.values())
-    for s in micro_bp:
-        restrict(code, s, buf)
-    parts["codewords"] = len(buf) - sum(parts.values())
-    for mt in cover.micro:
-        buf.append_bits(0 if mt.left_portal is None else mt.left_portal + 1, w)
-        buf.append_bits(0 if mt.right_portal is None else mt.right_portal + 1, w)
-    parts["portals"] = len(buf) - sum(parts.values())
-    parts["edgeTypes"] = 0
-    parts["huffman"] = code.total_bits()
-    parts["total"] = len(buf)
-    return HsBlob("binary", buf, parts)
+    return _write_blob("binary", *binary_layout(cover), [])
 
 
-def _null_rank_slots(shape: BinaryTree) -> dict[int, tuple[int, int]]:
-    """Map 0-based null rank -> (local node, side)."""
-    inr = annotate(shape).inorder_rank
+def parse_binary_blob(blob: HsBlob):
+    """Parse the parts of a binary blob without materializing the tree:
+    returns the layout tuple of ``binary_layout``."""
+    return _read_blob(blob, "binary")[1:]
+
+
+def _null_rank_slots(shape: BinaryTree, inr: list[int]) -> dict[int, tuple[int, int]]:
+    """Map 0-based null rank -> (local node, side), given the inorder ranks."""
     out: dict[int, tuple[int, int]] = {}
     for v in range(1, shape.n + 1):
         if not shape.left[v]:
@@ -310,34 +349,8 @@ def _null_rank_slots(shape: BinaryTree) -> dict[int, tuple[int, int]]:
     return out
 
 
-def parse_binary_blob(blob: HsBlob):
-    """Parse the parts of a binary blob without materializing the tree:
-    returns (n, top tier, shape BP strings per micro, portal null-rank pairs)."""
-    if blob.kind != "binary":
-        raise MalformedStream("not a binary blob")
-    cur = BitCursor(blob.bits)
-    n = gamma_decode(cur) - 1
-    m = gamma_decode(cur) - 1
-    if n < 1 or m < 1:
-        raise MalformedStream("bad header")
-    top_bits = BitBuf()
-    for _ in range(2 * m):
-        top_bits.append_bit(cur.read_bit())
-    top = bp_decode_binary(top_bits)
-    code = _read_codebook(cur)
-    shapes: list[str] = [_read_restricted(code, cur) for _ in range(m)]
-    w = _portal_width(code)
-    portals = []
-    for _ in range(m):
-        a = cur.read_bits(w)
-        b = cur.read_bits(w)
-        portals.append((a - 1 if a else None, b - 1 if b else None))
-    return n, top, shapes, portals
-
-
 def hs_decode_binary(blob: HsBlob) -> BinaryTree:
-    n, top, shapes, portals = parse_binary_blob(blob)
-    m = top.n
+    n, top, shapes, fields = parse_binary_blob(blob)
 
     # per-shape decoded structures and null-rank maps, cached by BP string
     cache: dict[str, tuple[BinaryTree, dict[int, tuple[int, int]]]] = {}
@@ -346,27 +359,27 @@ def hs_decode_binary(blob: HsBlob) -> BinaryTree:
     for s in shapes:
         if s not in cache:
             sh = bp_decode_binary(BitBuf(s))
-            cache[s] = (sh, _null_rank_slots(sh))
+            cache[s] = (sh, _null_rank_slots(sh, annotate(sh).inorder_rank))
         sh, nr = cache[s]
         local.append(sh)
         nulls.append(nr)
 
     # portal slots per micro: (left child micro, slot), (right child micro, slot)
     att: list[dict[tuple[int, int], int]] = []
-    for i in range(m):
-        lp, rp = portals[i]
+    for i in range(top.n):
+        lp, rp = fields[i]
         slots: dict[tuple[int, int], int] = {}
         lc, rc = top.left[i + 1], top.right[i + 1]
-        if lp is not None:
-            if lc == 0 or lp not in nulls[i]:
+        if lp:
+            if lc == 0 or lp - 1 not in nulls[i]:
                 raise MalformedStream("portal without matching child")
-            slots[nulls[i][lp]] = lc - 1
+            slots[nulls[i][lp - 1]] = lc - 1
         elif lc:
             raise MalformedStream("top-tier child without portal")
-        if rp is not None:
-            if rc == 0 or rp not in nulls[i]:
+        if rp:
+            if rc == 0 or rp - 1 not in nulls[i]:
                 raise MalformedStream("portal without matching child")
-            slots[nulls[i][rp]] = rc - 1
+            slots[nulls[i][rp - 1]] = rc - 1
         elif rc:
             raise MalformedStream("top-tier child without portal")
         att.append(slots)
@@ -416,67 +429,15 @@ def hs_encode_ordinal(t: OrdinalTree, B: int | None = None,
         raise ValueError("cannot encode the empty tree")
     if cover is None:
         cover = decompose_ordinal(t, B)
-    bp_cache: dict[int, str] = {}
-    micro_bp = []
-    for mt in cover.micro:
-        s = bp_cache.get(id(mt.shape))
-        if s is None:
-            s = bp_cache[id(mt.shape)] = bp_encode_ordinal(mt.shape).to_paren()
-        micro_bp.append(s)
-    code = build_shape_code(micro_bp)
-    m = len(cover.micro)
-    w = _portal_width(code)
-
-    buf = BitBuf()
-    parts: dict[str, int] = {}
-    gamma_encode(t.n + 1, buf)
-    gamma_encode(m + 1, buf)
-    parts["header"] = len(buf)
-    bp_encode_ordinal(cover.top_tier, buf)
-    parts["topTierBP"] = len(buf) - sum(parts.values())
-    _emit_codebook(code, buf)
-    parts["codebook"] = len(buf) - sum(parts.values())
-    for s in micro_bp:
-        restrict(code, s, buf)
-    parts["codewords"] = len(buf) - sum(parts.values())
-    for mt in cover.micro:
-        if mt.ext_portal is None:
-            buf.append_bits(0, w)
-            buf.append_bits(0, w)
-        else:
-            buf.append_bits(mt.ext_portal[0], w)
-            buf.append_bits(mt.ext_portal[1], w)
-    parts["portals"] = len(buf) - sum(parts.values())
-    for mt in cover.micro:
-        buf.append_bits(mt.parent_edge_type, 3)
-    parts["edgeTypes"] = len(buf) - sum(parts.values())
-    parts["huffman"] = code.total_bits()
-    parts["total"] = len(buf)
-    return HsBlob("ordinal", buf, parts)
+    fields = [mt.ext_portal or (0, 0) for mt in cover.micro]
+    types = [mt.parent_edge_type for mt in cover.micro]
+    return _write_blob("ordinal", t.n, cover.top_tier,
+                       _micro_bps(cover.micro, bp_encode_ordinal), fields, types)
 
 
 def hs_decode_ordinal(blob: HsBlob) -> OrdinalTree:
-    if blob.kind != "ordinal":
-        raise MalformedStream("not an ordinal blob")
-    cur = BitCursor(blob.bits)
-    n = gamma_decode(cur) - 1
-    m = gamma_decode(cur) - 1
-    if n < 1 or m < 1:
-        raise MalformedStream("bad header")
-    top_bits = BitBuf()
-    for _ in range(2 * (m + 1)):
-        top_bits.append_bit(cur.read_bit())
-    top = bp_decode_ordinal(top_bits)
-    if top.n != m + 1:
-        raise MalformedStream("top tier size mismatch")
-    code = _read_codebook(cur)
-    shapes = [_read_restricted(code, cur) for _ in range(m)]
-    w = _portal_width(code)
-    portals = []
-    for _ in range(m):
-        pos = cur.read_bits(w)
-        rank = cur.read_bits(w)
-        portals.append((pos, rank))
+    cur, n, top, shapes, portals = _read_blob(blob, "ordinal")
+    m = len(shapes)
     types = [cur.read_bits(3) for _ in range(m)]
     if any(ty > EDGE_EXTERNAL for ty in types):
         raise MalformedStream("bad edge type")

@@ -1,6 +1,11 @@
-"""Query layer over a binary blob: micro-tree-local lookup tables plus
+"""Query layer over a binary tree code: micro-tree-local lookup tables plus
 top-tier structures answering LCA, inorder rank/select, parent, and subtree
 size about the encoded tree without materializing it per query.
+
+The index is built from the layout tuple (n, top tier, shape BP per micro,
+portal fields per micro): ``build_nav`` reads it from a blob with
+``parse_binary_blob``, and ``rmq_build`` takes it from the cover with
+``binary_layout``.
 
 Complexities: LCA, parent, subtree size, and inorder rank are O(1) once the
 owning micro tree is known; locating it (and inorder select) is a binary
@@ -15,7 +20,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .bits import BitBuf, MalformedStream
-from .hypercodec import HsBlob, parse_binary_blob
+from .hypercodec import HsBlob, _null_rank_slots, parse_binary_blob
 from .trees import BinaryTree, annotate, bp_decode_binary
 
 
@@ -45,13 +50,7 @@ class ShapeTable:
             if t.right[v]:
                 self.parent[t.right[v]] = v
             self.left_size[v] = self.size[t.left[v]] if t.left[v] else 0
-        # null slots by 0-based left-to-right rank
-        self.null_slot: dict[int, tuple[int, int]] = {}
-        for v in range(1, mu + 1):
-            if not t.left[v]:
-                self.null_slot[ann.inorder_rank[v] - 1] = (v, 0)
-            if not t.right[v]:
-                self.null_slot[ann.inorder_rank[v]] = (v, 1)
+        self.null_slot = _null_rank_slots(t, ann.inorder_rank)
         # pairwise LCA via ancestor intervals: w is an ancestor of v iff
         # w <= v < w + size[w] in local preorder
         self.lca = lca = [0] * (mu * mu)
@@ -71,13 +70,11 @@ class ShapeTable:
 
 
 class NavIndex:
-    """Navigation index over a binary hypersuccinct blob."""
+    """Navigation index over a binary tree code, built from its layout tuple
+    (see ``hypercodec.binary_layout``)."""
 
-    def __init__(self, blob: HsBlob):
-        if blob.kind != "binary":
-            raise MalformedStream("ordinal blobs are not navigable")
-        self.blob = blob
-        n, top, shapes, portals = parse_binary_blob(blob)
+    def __init__(self, layout):
+        n, top, shapes, fields = layout
         m = top.n
         tables: dict[str, int] = {}
         shape_tables: list[ShapeTable] = []
@@ -92,54 +89,19 @@ class NavIndex:
         ports: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
         for i in range(m):
             st = shape_tables[shape_id[i]]
-            for rank, child in ((portals[i][0], top.left[i + 1]),
-                                (portals[i][1], top.right[i + 1])):
-                if rank is None:
+            for f, child in ((fields[i][0], top.left[i + 1]),
+                             (fields[i][1], top.right[i + 1])):
+                if not f:
                     if child:
                         raise MalformedStream("top-tier child without portal")
                     continue
+                rank = f - 1
                 if child == 0 or rank not in st.null_slot:
                     raise MalformedStream("portal without matching child")
                 x, side = st.null_slot[rank]
                 thresh = x + 1 if side == 0 else x + st.left_size[x] + 1
                 ports[i].append((thresh, rank, x, child - 1))
             ports[i].sort()
-        self._setup(n, top, shape_tables, shape_id, ports)
-
-    @classmethod
-    def from_cover(cls, cover, blob: HsBlob) -> "NavIndex":
-        """Build the index straight from an in-memory cover, skipping the
-        blob re-parse (the blob is retained as the space-bearing artifact)."""
-        self = cls.__new__(cls)
-        self.blob = blob
-        m = len(cover.micro)
-        by_shape: dict[int, int] = {}
-        shape_tables: list[ShapeTable] = []
-        shape_id = [0] * m
-        from .trees import bp_encode_binary
-        for i, mt in enumerate(cover.micro):
-            sid = by_shape.get(id(mt.shape))
-            if sid is None:
-                sid = by_shape[id(mt.shape)] = len(shape_tables)
-                shape_tables.append(ShapeTable(bp_encode_binary(mt.shape).to_paren()))
-            shape_id[i] = sid
-        ports: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
-        for i, mt in enumerate(cover.micro):
-            st = shape_tables[shape_id[i]]
-            for slot, child in ((mt.left_slot, mt.left_child),
-                                (mt.right_slot, mt.right_child)):
-                if slot is None:
-                    continue
-                x, side = slot
-                thresh = x + 1 if side == 0 else x + st.left_size[x] + 1
-                rank = st.inorder_of[x] - 1 if side == 0 else st.inorder_of[x]
-                ports[i].append((thresh, rank, x, child))
-            ports[i].sort()
-        self._setup(cover.n, cover.top_tier, shape_tables, shape_id, ports)
-        return self
-
-    def _setup(self, n, top, shape_tables, shape_id, ports):
-        m = top.n
         self.n = n
         self.m = m
         self.shapes = shape_tables
@@ -474,24 +436,4 @@ class NavIndex:
 
 
 def build_nav(blob: HsBlob) -> NavIndex:
-    return NavIndex(blob)
-
-
-def nav_lca(idx: NavIndex, u: int, v: int) -> int:
-    return idx.lca(u, v)
-
-
-def nav_parent(idx: NavIndex, v: int):
-    return idx.parent(v)
-
-
-def nav_subtree_size(idx: NavIndex, v: int) -> int:
-    return idx.subtree_size(v)
-
-
-def nav_inorder_rank(idx: NavIndex, v: int) -> int:
-    return idx.inorder_rank(v)
-
-
-def nav_inorder_select(idx: NavIndex, r: int) -> int:
-    return idx.inorder_select(r)
+    return NavIndex(parse_binary_blob(blob))

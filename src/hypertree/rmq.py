@@ -8,11 +8,14 @@ bijection."""
 
 from __future__ import annotations
 
+import gc
 import math
 
 from .bits import BitBuf, MalformedStream
-from .hypercodec import HsBlob, hs_encode_binary
-from .navigate import NavIndex, build_nav
+from .cover import decompose_binary, default_block
+from .hypercodec import HsBlob, binary_layout, hs_encode_binary
+from .navigate import NavIndex
+from .sources.models import lg_binom
 from .trees import BinaryTree
 
 
@@ -98,20 +101,24 @@ class RMQIndex:
 
 
 def rmq_build(values, B: int | None = None) -> RMQIndex:
-    from .cover import decompose_binary, default_block
-
-    t = cartesian_tree(values)
-    if B is None:
-        # slightly larger blocks than the code default: the query layer pays
-        # per micro tree, and desk-scale inputs want fewer of them
-        B = max(default_block(t.n), 6)
-    cover = decompose_binary(t, B)
-    blob = hs_encode_binary(t, cover=cover)
-    return RMQIndex(NavIndex.from_cover(cover, blob), t.n, blob)
-
-
-def rmq_query(idx: RMQIndex, i: int, j: int) -> int:
-    return idx.query(i, j)
+    """Encode the Cartesian tree of ``values`` and index it. The CLI's
+    ``rmq build`` writes this blob, so both share the block default."""
+    # The build allocates millions of small lists and tuples; with the cyclic
+    # collector running, a third of its time at n = 10^6 went to collections.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = cartesian_tree(values)
+        if B is None:
+            # slightly larger blocks than the code default: the query layer
+            # pays per micro tree, and desk-scale inputs want fewer of them
+            B = max(default_block(t.n), 6)
+        cover = decompose_binary(t, B)
+        blob = hs_encode_binary(t, cover=cover)
+        return RMQIndex(NavIndex(binary_layout(cover)), t.n, blob)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +137,6 @@ class RunsProfile:
     def __repr__(self):
         return (f"RunsProfile(n={self.n}, r={self.r}, s={self.s}, "
                 f"narayana_bits={self.narayana_bits:.2f})")
-
-
-def lg_binom(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return float("-inf")
-    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
 
 
 def lg_narayana(n: int, r: int) -> float:

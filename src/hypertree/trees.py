@@ -155,6 +155,8 @@ def bp_decode_binary(buf: BitBuf) -> BinaryTree:
         if pos < nbits and buf.get(pos) == 1:
             pos += 1
             cnt += 1
+            if cnt > n:
+                raise MalformedStream("BP string has more '(' than half its length")
             v = cnt
             if parent:
                 if side == 0:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from hypertree.hypercodec import hs_encode_binary
 from hypertree.trees import BinaryTree
+from hypertree import sources as S
 
 # The 20-node worked example: node label = inorder number, edges from the
 # published drawing; subtree-size annotations (root 18/20 etc.) pin the
@@ -51,6 +53,14 @@ def random_bst(rng: random.Random, n: int) -> BinaryTree:
         stack.append((lo, r - 1, r, 0))
         stack.append((r + 1, hi, r, 1))
     return BinaryTree.from_links(root, left, right)
+
+
+def flipped_bst_blob() -> bytes:
+    """A seeded BST blob with bit 60 flipped: its top tier then holds more
+    '(' than its length allows."""
+    raw = bytearray(hs_encode_binary(S.sample(S.BstSource(), 398, 179)).to_bytes())
+    raw[60 // 8] ^= 0x80 >> (60 % 8)
+    return bytes(raw)
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import pytest
 
 from hypertree.bits import (
     BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode,
-    gamma_length, vca_access, vca_build,
+    gamma_length,
 )
 
 
@@ -61,44 +61,3 @@ def test_bitbuf_basics():
     assert r.read_bits(5) == 0b10111
     b2 = BitBuf.from_bytes(b.to_bytes(), 5)
     assert b2 == b
-
-
-def test_bitbuf_extend_many_widths(rng):
-    for _ in range(200):
-        bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 50)))
-        other = "".join(rng.choice("01") for _ in range(rng.randint(0, 50)))
-        a = BitBuf(bits)
-        a.extend(BitBuf(other))
-        assert a.to01() == bits + other
-
-
-def test_vca_examples():
-    a = vca_build([])
-    assert a.m == 0 and len(a.data) == 0
-    a = vca_build([BitBuf("1"), BitBuf("00"), BitBuf("111")])
-    assert vca_access(a, 0) == (0, 1)
-    assert vca_access(a, 1) == (1, 2)
-    assert vca_access(a, 2) == (3, 3)
-    assert len(a.data) == 6
-    a = vca_build([BitBuf("")])
-    assert vca_access(a, 0) == (0, 0)
-    with pytest.raises(IndexError):
-        vca_access(a, 1)
-
-
-def test_vca_uniform_lengths():
-    cells = [BitBuf("1010101") for _ in range(10**5)]
-    a = vca_build(cells)
-    for i in range(0, 10**5, 997):
-        assert a.access(i) == (7 * i, 7)
-    assert a.access(10**5 - 1) == (7 * (10**5 - 1), 7)
-
-
-def test_vca_reconstruction(rng):
-    cells = [BitBuf("".join(rng.choice("01") for _ in range(rng.randint(0, 17))))
-             for _ in range(300)]
-    a = vca_build(cells)
-    for i, c in enumerate(cells):
-        off, length = a.access(i)
-        assert length == len(c)
-        assert a.cell(i) == c

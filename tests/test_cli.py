@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from conftest import FIGURE_BP
+from conftest import FIGURE_BP, flipped_bst_blob
 from hypertree.cli import main
+from hypertree.rmq import rmq_build
 
 
 def run(*argv):
@@ -36,6 +37,14 @@ def test_encode_rejects_malformed(tmp_path, capsys):
     hst = tmp_path / "bad.hst"
     assert run("encode", "--kind", "binary", str(src), str(hst)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_decode_rejects_flipped_blob(tmp_path, capsys):
+    hst = tmp_path / "flip.hst"
+    hst.write_bytes(flipped_bst_blob())
+    assert run("decode", str(hst), str(tmp_path / "out.bp")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_error_exit_code():
@@ -93,10 +102,15 @@ def test_rmq_commands(tmp_path, capsys):
     arr.write_text("2 3 4 1 6 5 7 9 10 8\n")
     hst = tmp_path / "a.hst"
     assert run("rmq", "build", str(arr), str(hst)) == 0
+    assert hst.read_bytes() == rmq_build([2, 3, 4, 1, 6, 5, 7, 9, 10, 8]).blob.to_bytes()
     assert run("rmq", "query", str(hst), "5", "8") == 0
     assert capsys.readouterr().out.strip() == "6"
     assert run("rmq", "query", str(hst), "1", "10") == 0
     assert capsys.readouterr().out.strip() == "4"
+    for i, j in [("4", "2"), ("0", "3"), ("2", "11")]:
+        assert run("rmq", "query", str(hst), i, j) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
     assert run("rmq", "runs", str(arr)) == 0
     row = json.loads(capsys.readouterr().out)
     assert row["r"] == 4

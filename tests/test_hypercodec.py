@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from conftest import figure_tree, random_bst
+from conftest import flipped_bst_blob, random_bst
 from hypertree.bits import BitBuf, MalformedStream
 from hypertree.cover import decompose_binary
 from hypertree.hypercodec import (
     HsBlob, build_shape_code, hs_decode_binary, hs_decode_ordinal,
-    hs_encode_binary, hs_encode_ordinal, read_hst, restrict,
-    restricted_length, space_report, write_hst,
+    hs_encode_binary, hs_encode_ordinal, read_hst, restrict, space_report,
+    write_hst,
 )
 from hypertree.trees import (
     bp_encode_binary, left_chain, ordinal_path, ordinal_star, single_node,
@@ -79,8 +79,7 @@ def test_restricted_length_bound(rng):
     for s in shapes:
         size = len(s) // 2
         cap = min(sc.code_len[s], 2 * size + 2 * math.floor(math.log2(size + 1)) + 1) + 1
-        assert restricted_length(sc, s) <= cap
-        assert restricted_length(sc, s) == len(restrict(sc, s))
+        assert len(restrict(sc, s)) <= cap
 
 
 def test_binary_roundtrip_small_and_chains(rng):
@@ -141,6 +140,8 @@ def test_decode_rejects_garbage():
     blob = hs_encode_ordinal(t)
     with pytest.raises(MalformedStream):
         hs_decode_binary(blob)
+    with pytest.raises(MalformedStream):
+        hs_decode_binary(HsBlob.from_bytes(flipped_bst_blob()))
 
 
 def test_space_report_consistency(rng):
@@ -161,7 +162,7 @@ def test_space_report_single_micro(rng):
     rep = space_report(t, 8)
     # one micro tree: the codeword part is a single restricted codeword
     sc = build_shape_code([bp_encode_binary(t).to_paren()])
-    assert rep["codewords"] == restricted_length(sc, bp_encode_binary(t).to_paren())
+    assert rep["codewords"] == len(restrict(sc, bp_encode_binary(t).to_paren()))
 
 
 def test_length_restriction_sum(rng):

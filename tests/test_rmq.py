@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypertree.bits import BitBuf, MalformedStream
 from hypertree.rmq import (
     bp_encode_postorder_variant, cartesian_tree, dyck_peaks, lg_narayana,
-    rmq_build, rmq_query, runs_profile,
+    rmq_build, runs_profile,
 )
 from hypertree.trees import annotate, bp_encode_binary
 
@@ -54,7 +55,19 @@ def test_rmq_matches_bruteforce(rng):
         for _ in range(120):
             i = rng.randint(1, n)
             j = rng.randint(i, n)
-            assert rmq_query(idx, i, j) == brute_rmq(A, i, j)
+            assert idx.query(i, j) == brute_rmq(A, i, j)
+
+
+def test_build_restores_gc_state():
+    assert gc.isenabled()
+    rmq_build([3, 1, 2])
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        rmq_build([3, 1, 2])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_rmq_bad_interval():
