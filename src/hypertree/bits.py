@@ -1,10 +1,31 @@
-"""Bit-exact primitives: bit buffers, MSB-first cursors, and Elias gamma."""
+"""Bit-exact primitives: an MSB-first bit buffer for writing, a cursor that
+reads it by the word, and Elias gamma.
+
+Writers append bits to a ``BitBuf``. Readers never walk a stream bit by bit:
+``BitCursor`` takes each field from an integer window of the payload bytes,
+reads a gamma code through the ``bit_length()`` of a window, and reads a run
+of equal-width fields as one numpy block. The word-RAM model of the source
+paper reads Theta(lg n) bits per step in the same way.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class MalformedStream(ValueError):
-    """Raised when a decoder hits a truncated or invalid bit stream."""
+    """Raised when a decoder hits a truncated or invalid bit stream.
+
+    A blob reader sets ``part``, the blob part it was reading (header, top
+    tier, codebook, codewords, portals, edge types), and ``bit_offset``, the
+    payload bit at which it stood when it found the fault.
+    """
+
+    def __init__(self, msg: str, part: str | None = None,
+                 bit_offset: int | None = None):
+        super().__init__(msg)
+        self.part = part
+        self.bit_offset = bit_offset
 
 
 class BitBuf:
@@ -94,6 +115,12 @@ class BitBuf:
             buf._acc = tail >> (8 - buf._accbits)
         return buf
 
+    @classmethod
+    def from_int(cls, value: int, nbits: int) -> "BitBuf":
+        """The ``nbits``-bit binary form of ``value``, MSB first."""
+        return cls.from_bytes(
+            (value << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big"), nbits)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitBuf)
@@ -111,50 +138,71 @@ class BitBuf:
 
 
 class BitCursor:
-    """MSB-first read cursor over a BitBuf."""
+    """MSB-first read cursor over a BitBuf that reads words, not bits.
 
-    __slots__ = ("buf", "pos", "_data", "_len")
+    A field of up to 57 bits is one ``int.from_bytes`` of the 8 bytes that
+    hold it, a shift and a mask; a wider one is one slice of the bytes.
+    ``peek`` reads past the end as zeros and never moves; every read that
+    moves the cursor checks the length first, so ``pos`` never passes it.
+    """
+
+    __slots__ = ("pos", "_data", "_len")
 
     def __init__(self, buf: BitBuf, pos: int = 0):
-        self.buf = buf
         self.pos = pos
-        self._data = buf.to_bytes()
         self._len = len(buf)
+        # zero bytes past the end make every 8-byte window a whole slice
+        self._data = buf.to_bytes() + bytes(8)
 
-    def at_end(self) -> bool:
-        return self.pos >= self._len
+    def _field(self, pos: int, width: int) -> int:
+        b = pos >> 3
+        if width <= 57:
+            word = int.from_bytes(self._data[b:b + 8], "big")
+            return (word >> (64 - (pos & 7) - width)) & ((1 << width) - 1)
+        e = (pos + width + 7) >> 3
+        chunk = self._data[b:e]
+        word = int.from_bytes(chunk, "big") << 8 * (e - b - len(chunk))
+        return (word >> (8 * (e - b) - (pos & 7) - width)) & ((1 << width) - 1)
 
-    def read_bit(self) -> int:
-        if self.pos >= self._len:
-            raise MalformedStream("bit stream exhausted")
-        byi, biti = divmod(self.pos, 8)
-        self.pos += 1
-        return (self._data[byi] >> (7 - biti)) & 1
+    def peek(self, width: int) -> int:
+        """The next ``width`` bits as an int, zeros past the end."""
+        return self._field(self.pos, width)
+
+    def skip(self, width: int) -> None:
+        """Move past ``width`` bits, usually ones already peeked."""
+        if self.pos + width > self._len:
+            raise MalformedStream("bit stream exhausted", bit_offset=self.pos)
+        self.pos += width
 
     def read_bits(self, width: int) -> int:
-        if self.pos + width > self._len:
-            raise MalformedStream("bit stream exhausted")
-        val = 0
         pos = self.pos
-        data = self._data
-        end = pos + width
-        # head: finish the current byte
-        while pos < end and pos % 8:
-            val = (val << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-        while end - pos >= 8:
-            val = (val << 8) | data[pos >> 3]
-            pos += 8
-        while pos < end:
-            val = (val << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self.pos = end
-        return val
+        self.skip(width)    # first: a width read from a bad stream may be huge
+        return self._field(pos, width)
+
+    def read_block(self, count: int, width: int) -> np.ndarray:
+        """``count`` consecutive ``width``-bit fields, read as one int64
+        block. Widths here come from sizes bounded by the stream length, so
+        a field fits."""
+        nbits = count * width
+        pos = self.pos
+        self.skip(nbits)
+        b = pos >> 3
+        raw = np.frombuffer(self._data, np.uint8, ((pos + nbits + 7) >> 3) - b, b)
+        bits = np.unpackbits(raw)[pos & 7:(pos & 7) + nbits].reshape(count, width)
+        return bits @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
 
     def read_remaining_int(self) -> tuple[int, int]:
         """Consume all remaining bits; return (value, nbits)."""
         n = self._len - self.pos
         return self.read_bits(n), n
+
+    def finish(self) -> None:
+        """Check that what is left is the writer's byte padding: at most 7
+        bits, all zero."""
+        rest = self._len - self.pos
+        if rest > 7 or self.peek(rest):
+            raise MalformedStream("trailing data after the last field",
+                                  bit_offset=self.pos)
 
 
 def gamma_encode(n: int, out: BitBuf | None = None) -> BitBuf:
@@ -169,18 +217,11 @@ def gamma_encode(n: int, out: BitBuf | None = None) -> BitBuf:
 
 
 def gamma_decode(cur: BitCursor) -> int:
-    """Inverse of gamma_encode; advances the cursor past the codeword."""
-    zeros = 0
-    while cur.read_bit() == 0:
-        zeros += 1
-        if zeros > 64:
-            raise MalformedStream("gamma codeword too long")
-    if zeros == 0:
-        return 1
-    return (1 << zeros) | cur.read_bits(zeros)
-
-
-def gamma_length(n: int) -> int:
-    if n < 1:
-        raise ValueError("gamma code needs n >= 1")
-    return 2 * (n.bit_length() - 1) + 1
+    """Inverse of gamma_encode; advances the cursor past the codeword. The
+    zeros are counted from the ``bit_length()`` of one window, and the
+    codeword read as one field: its value is n, as its z leading bits are
+    the zeros."""
+    zeros = 65 - cur.peek(65).bit_length()
+    if zeros > 64:
+        raise MalformedStream("gamma codeword too long", bit_offset=cur.pos)
+    return cur.read_bits(2 * zeros + 1)

@@ -271,7 +271,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (MalformedStream, ValueError, srcs.EmptyClassError) as exc:
+    except MalformedStream as exc:
+        if exc.part is None:
+            return _fail(str(exc))
+        return _fail(f"{exc} (in the {exc.part}, at payload bit {exc.bit_offset})")
+    except (ValueError, srcs.EmptyClassError) as exc:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))

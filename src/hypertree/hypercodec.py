@@ -15,9 +15,12 @@ and gamma(length+1); canonical codewords are reconstructed from lengths.
 Portal fields are sized from the largest codebook shape so a blob decodes
 without knowing B.
 
-Both kinds share one writer (``_write_blob``) and one reader of the parts
-up to the portal fields (``_read_blob``). A binary blob's contents are the
-layout tuple (n, top tier, shape BP per micro, portal field pair per micro,
+Both kinds share one writer (``_write_blob``) and one reader
+(``_read_blob``), which reads by the word: canonical codewords through a
+first-code/limit table over a peeked window, the top tier's BP with numpy,
+and the portal fields and edge types as fixed-width blocks. After the last
+field only the zero byte padding may remain. A binary blob's contents are
+the layout tuple (n, top tier, shape BP per micro, portal field pair per micro,
 each field 1 + the portal's null rank or 0 for none): ``binary_layout``
 builds it from a cover, ``parse_binary_blob`` reads it back from the bits,
 and the navigation index is built from it.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 
 from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode
 from .cover import (
@@ -55,28 +59,32 @@ class ShapeCode:
         self._canonize(sorted(lengths, key=lambda s: (lengths[s], s)), lengths)
 
     def _canonize(self, order: list[str], lengths: dict[str, int]) -> None:
-        """Assign canonical codewords in ``order`` and the per-length decode
-        tables (first codeword, symbols)."""
+        """Assign canonical codewords in ``order`` and the decode table: per
+        distinct length, the limit of its codewords left-justified to
+        ``max_len`` bits, and the offset from a codeword to its symbol's
+        index in ``order``."""
         self.order = order
         self.code_len = lengths
+        self.max_len = max(lengths.values())
         self.codewords: dict[str, tuple[int, int]] = {}
-        self._first: dict[int, int] = {}
-        self._syms: dict[int, list[str]] = {}
+        self._limits: list[int] = []
+        self._lens: list[int] = []
+        self._offsets: list[int] = []
         code = 0
         prev = 0
-        for s in order:
+        for i, s in enumerate(order):
             L = lengths[s]
             code <<= L - prev
             if code >= (1 << L):
                 raise MalformedStream("codebook lengths violate Kraft")
             self.codewords[s] = (code, L)
-            if L not in self._first:
-                self._first[L] = code
-                self._syms[L] = []
-            self._syms[L].append(s)
+            if L != prev:
+                self._lens.append(L)
+                self._offsets.append(i - code)
+                self._limits.append(0)
             code += 1
+            self._limits[-1] = code << (self.max_len - L)
             prev = L
-        self.max_len = max(lengths.values())
 
     def kraft_sum(self) -> float:
         return sum(2.0 ** -l for l in self.code_len.values())
@@ -85,23 +93,54 @@ class ShapeCode:
         f = self.freq if freq is None else freq
         return sum(self.code_len[s] * c for s, c in f.items())
 
-    def decode_symbol(self, cur: BitCursor) -> str:
-        v = 0
-        for L in range(1, self.max_len + 1):
-            v = (v << 1) | cur.read_bit()
-            first = self._first.get(L)
-            if first is not None:
-                idx = v - first
-                syms = self._syms[L]
-                if 0 <= idx < len(syms):
-                    return syms[idx]
-        raise MalformedStream("unknown Huffman codeword")
+    def read_codewords(self, cur: BitCursor, m: int) -> list[str]:
+        """Read ``m`` restricted codewords (see ``restrict``).
+
+        The cursor stands at the start of a window of ``span`` bits, of
+        which the low ``have`` are unread; each codeword is decoded from its
+        first 1 + ``max_len`` of them. The left-justified codewords of each
+        length form one interval, so the first length whose limit exceeds
+        them is the codeword's (Moffat & Turpin 1997). Moving the cursor on
+        to a new window checks that the codewords read end in the stream.
+        """
+        L = self.max_len
+        width = 1 + L
+        span = max(width, 57)
+        wmask, cmask = (1 << width) - 1, (1 << L) - 1
+        limits, lens, offsets, order = self._limits, self._lens, self._offsets, self.order
+        nlim = len(limits)
+        shapes = []
+        word, have = cur.peek(span), span
+        for _ in range(m):
+            if have < width:
+                cur.skip(span - have)
+                word, have = cur.peek(span), span
+            win = (word >> (have - width)) & wmask
+            if not win >> L:  # escape
+                cur.skip(span - have + 1)
+                shapes.append(_read_sized_bp(cur))
+                word, have = cur.peek(span), span
+                continue
+            win &= cmask
+            k = bisect_right(limits, win)
+            if k == nlim:
+                raise MalformedStream("unknown Huffman codeword",
+                                      bit_offset=cur.pos + span - have)
+            shapes.append(order[offsets[k] + (win >> (L - lens[k]))])
+            have -= 1 + lens[k]
+        cur.skip(span - have)
+        return shapes
 
     @classmethod
     def from_lengths(cls, shapes_and_lengths: list[tuple[str, int]]) -> "ShapeCode":
         obj = cls.__new__(cls)
         obj.freq = {s: 1 for s, _ in shapes_and_lengths}
         lengths = dict(shapes_and_lengths)
+        # a Huffman code over k > 1 symbols is no deeper than k - 1; the
+        # bound also keeps a corrupt length from building a huge codeword
+        k = len(shapes_and_lengths)
+        if min(lengths.values()) < 1 or max(lengths.values()) > max(1, k - 1):
+            raise MalformedStream("codeword length out of range")
         order = [s for s, _ in shapes_and_lengths]
         if sorted(order, key=lambda s: (lengths[s], s)) != order:
             raise MalformedStream("codebook not in canonical order")
@@ -166,12 +205,6 @@ def restrict(code: ShapeCode, bp: str, out: BitBuf | None = None) -> BitBuf:
     return buf
 
 
-def _read_restricted(code: ShapeCode, cur: BitCursor) -> str:
-    if cur.read_bit():
-        return code.decode_symbol(cur)
-    return _read_sized_bp(cur)
-
-
 def _write_sized_bp(bp: str, buf: BitBuf) -> None:
     """gamma(size+1), then the BP bits of a shape."""
     gamma_encode(len(bp) // 2 + 1, buf)
@@ -179,9 +212,15 @@ def _write_sized_bp(bp: str, buf: BitBuf) -> None:
         buf.append_bit(1 if ch == "(" else 0)
 
 
+_PARENS = str.maketrans("10", "()")
+
+
 def _read_sized_bp(cur: BitCursor) -> str:
-    size = gamma_decode(cur) - 1
-    return "".join("(" if cur.read_bit() else ")" for _ in range(2 * size))
+    """Inverse of ``_write_sized_bp``: the BP bits are read as one field."""
+    width = 2 * (gamma_decode(cur) - 1)
+    if not width:
+        return ""
+    return format(cur.read_bits(width), f"0{width}b").translate(_PARENS)
 
 
 class HsBlob:
@@ -286,28 +325,51 @@ def _write_blob(kind: str, n: int, top, shapes: list[str],
 
 
 def _read_blob(blob: HsBlob, kind: str):
-    """Read what both kinds share, up to the portal fields. Returns (cursor,
-    n, top tier, shape BP per micro, portal field pair per micro)."""
+    """Read every part of a blob of ``kind`` and check that only the byte
+    padding follows. Returns (n, top tier, shape BP per micro, portal field
+    pair per micro, edge type per micro; no edge types for binary). A
+    ``MalformedStream`` from here names the part and the payload bit."""
     if blob.kind != kind:
         raise MalformedStream(f"expected a {kind} blob, got {blob.kind}")
     cur = BitCursor(blob.bits)
-    n = gamma_decode(cur) - 1
-    m = gamma_decode(cur) - 1
-    if n < 1 or m < 1:
-        raise MalformedStream("bad header")
-    # the ordinal top tier has a dummy root above the m micro trees
-    top_n = m if kind == "binary" else m + 1
-    top_bits = BitBuf()
-    for _ in range(2 * top_n):
-        top_bits.append_bit(cur.read_bit())
-    top = bp_decode_binary(top_bits) if kind == "binary" else bp_decode_ordinal(top_bits)
-    if top.n != top_n:
-        raise MalformedStream("top tier size mismatch")
-    code = _read_codebook(cur)
-    shapes = [_read_restricted(code, cur) for _ in range(m)]
-    w = _portal_width(code)
-    fields = [(cur.read_bits(w), cur.read_bits(w)) for _ in range(m)]
-    return cur, n, top, shapes, fields
+    part = "header"
+    try:
+        n = gamma_decode(cur) - 1
+        m = gamma_decode(cur) - 1
+        if n < 1 or m < 1:
+            raise MalformedStream("bad header")
+        part = "top tier"
+        # the ordinal top tier has a dummy root above the m micro trees
+        width = 2 * m if kind == "binary" else 2 * m + 2
+        top_bits = BitBuf.from_int(cur.read_bits(width), width)
+        top = bp_decode_binary(top_bits) if kind == "binary" else bp_decode_ordinal(top_bits)
+        part = "codebook"
+        code = _read_codebook(cur)
+        part = "codewords"
+        shapes = code.read_codewords(cur, m)
+        if not all(shapes):
+            raise MalformedStream("empty micro tree")
+        # binary micro trees partition the nodes (ordinal ones share roots)
+        if kind == "binary" and sum(map(len, shapes)) != 2 * n:
+            raise MalformedStream("micro tree sizes do not add up to the header size")
+        part = "portals"
+        first, second = cur.read_block(2 * m, _portal_width(code)).reshape(m, 2).T
+        if kind == "binary" and ((first == second) & (first != 0)).any():
+            raise MalformedStream("two portals at one null")
+        fields = list(zip(first.tolist(), second.tolist()))
+        types: list[int] = []
+        if kind == "ordinal":
+            part = "edge types"
+            types = cur.read_block(m, 3).tolist()
+            if max(types) > EDGE_EXTERNAL:
+                raise MalformedStream("bad edge type")
+        cur.finish()
+    except MalformedStream as exc:
+        exc.part = part
+        if exc.bit_offset is None:
+            exc.bit_offset = cur.pos
+        raise
+    return n, top, shapes, fields, types
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +397,7 @@ def hs_encode_binary(t: BinaryTree, B: int | None = None,
 def parse_binary_blob(blob: HsBlob):
     """Parse the parts of a binary blob without materializing the tree:
     returns the layout tuple of ``binary_layout``."""
-    return _read_blob(blob, "binary")[1:]
+    return _read_blob(blob, "binary")[:4]
 
 
 def _null_rank_slots(shape: BinaryTree, inr: list[int]) -> dict[int, tuple[int, int]]:
@@ -436,11 +498,8 @@ def hs_encode_ordinal(t: OrdinalTree, B: int | None = None,
 
 
 def hs_decode_ordinal(blob: HsBlob) -> OrdinalTree:
-    cur, n, top, shapes, portals = _read_blob(blob, "ordinal")
+    n, top, shapes, portals, types = _read_blob(blob, "ordinal")
     m = len(shapes)
-    types = [cur.read_bits(3) for _ in range(m)]
-    if any(ty > EDGE_EXTERNAL for ty in types):
-        raise MalformedStream("bad edge type")
 
     cache: dict[str, OrdinalTree] = {}
     local: list[OrdinalTree] = []

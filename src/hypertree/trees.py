@@ -8,7 +8,9 @@ sentinel. All traversals are iterative so degenerate trees of any size work.
 
 from __future__ import annotations
 
-from .bits import BitBuf, BitCursor, MalformedStream
+import numpy as np
+
+from .bits import BitBuf, MalformedStream
 
 
 class BinaryTree:
@@ -130,46 +132,37 @@ def bp_encode_binary(t: BinaryTree, out: BitBuf | None = None) -> BitBuf:
 
 
 def bp_decode_binary(buf: BitBuf) -> BinaryTree:
-    """Inverse of bp_encode_binary; rejects non-prefix-valid strings.
+    """Inverse of bp_encode_binary; rejects every string that is not
+    balanced (odd length, a prefix with more ')' than '(', or unequal
+    counts).
 
-    Recursive-descent over T -> eps | "(" T ")" T with an explicit
-    continuation stack.
+    Vectorized: the excess is a cumsum of +-1. An open paren at excess level
+    e (the excess before it) matches the next close paren that returns to e,
+    so a stable sort of positions by level lists each matching pair as two
+    neighbours. Node v is the v-th open paren; its left child opens right
+    after it, its right child right after its match.
     """
     nbits = len(buf)
     if nbits % 2:
         raise MalformedStream("BP string has odd length")
     n = nbits // 2
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    pos = 0
-    cnt = 0
-    # ops: (0, parent, side) = parse a subtree; (1, 0, 0) = expect ')'
-    ops: list[tuple[int, int, int]] = [(0, 0, 0)]
-    while ops:
-        kind, parent, side = ops.pop()
-        if kind == 1:
-            if pos >= nbits or buf.get(pos) != 0:
-                raise MalformedStream("BP string not balanced")
-            pos += 1
-            continue
-        if pos < nbits and buf.get(pos) == 1:
-            pos += 1
-            cnt += 1
-            if cnt > n:
-                raise MalformedStream("BP string has more '(' than half its length")
-            v = cnt
-            if parent:
-                if side == 0:
-                    left[parent] = v
-                else:
-                    right[parent] = v
-            ops.append((0, v, 1))
-            ops.append((1, 0, 0))
-            ops.append((0, v, 0))
-        # else: empty subtree, consume nothing
-    if pos != nbits or cnt != n:
+    if not n:
+        return BinaryTree(0, [0], [0])
+    bits = np.unpackbits(np.frombuffer(buf.to_bytes(), np.uint8), count=nbits)
+    bits = bits.astype(np.int64)
+    excess = np.cumsum(2 * bits - 1)
+    if excess.min() < 0 or excess[-1]:
         raise MalformedStream("BP string not balanced")
-    return BinaryTree(n, left, right)
+    order = np.argsort(excess - bits, kind="stable")
+    opens, closes = order[0::2], order[1::2]
+    nxt = np.append(bits[1:], 0)
+    v = (opens + 1 + excess[opens]) >> 1
+    after = np.minimum(closes + 1, nbits - 1)
+    left = np.zeros(n + 1, np.int64)
+    right = np.zeros(n + 1, np.int64)
+    left[v] = nxt[opens] * (v + 1)
+    right[v] = nxt[closes] * ((closes + 2 + excess[after]) >> 1)
+    return BinaryTree(n, left.tolist(), right.tolist())
 
 
 def bp_encode_ordinal(forest: Forest | OrdinalTree, out: BitBuf | None = None) -> BitBuf:

@@ -45,6 +45,8 @@ def test_decode_rejects_flipped_blob(tmp_path, capsys):
     assert run("decode", str(hst), str(tmp_path / "out.bp")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    # the reader names the part and the payload bit where it failed
+    assert "in the top tier, at payload bit 38" in err
 
 
 def test_usage_error_exit_code():

@@ -6,10 +6,11 @@ import pytest
 from conftest import flipped_bst_blob, random_bst
 from hypertree.bits import BitBuf, MalformedStream
 from hypertree.cover import decompose_binary
+from hypertree import hypercodec
 from hypertree.hypercodec import (
-    HsBlob, build_shape_code, hs_decode_binary, hs_decode_ordinal,
-    hs_encode_binary, hs_encode_ordinal, read_hst, restrict, space_report,
-    write_hst,
+    HsBlob, binary_layout, build_shape_code, hs_decode_binary, hs_decode_ordinal,
+    hs_encode_binary, hs_encode_ordinal, parse_binary_blob, read_hst, restrict,
+    space_report, write_hst,
 )
 from hypertree.trees import (
     bp_encode_binary, left_chain, ordinal_path, ordinal_star, single_node,
@@ -183,3 +184,88 @@ def test_huffman_beats_dfs_competitor(rng):
         blob = hs_encode_binary(t, cover=cov)
         comp = sum(S.dfs_code_length(bst, mt.shape) for mt in cov.micro)
         assert blob.parts["huffman"] <= comp + 1e-6
+
+
+def _escapes(layout) -> int:
+    code = build_shape_code(layout[2])
+    return sum(1 for s in layout[2] if restrict(code, s).get(0) == 0)
+
+
+def test_parse_matches_layout_every_binary_source(rng):
+    # every binary source parse_source knows, at small and desk-scale blocks
+    specs = ["bst", "uniform", "binomial", "almostpath:2", "fringebalanced:2",
+             "avl-size", "avl-height", "llrb", "wb", "motzkin", "memoryless"]
+    for spec in specs:
+        src = S.parse_source(spec)
+        assert src.kind == "binary"
+        # the exact-size AVL-by-height sampler is slow beyond ~20 nodes
+        sizes = (9, 16) if spec == "avl-height" else (40, 500)
+        for n in sizes:
+            t = S.sample(src, n, rng.getrandbits(32))
+            for B in (1, 2, 3, 6, max(1, math.ceil(math.log2(n) ** 2))):
+                cov = decompose_binary(t, B)
+                layout = binary_layout(cov)
+                assert parse_binary_blob(hs_encode_binary(t, cover=cov)) == layout
+    # a blob with escaped micro trees
+    t = S.sample(S.parse_source("binomial"), 1500, 3)
+    cov = decompose_binary(t, 6)
+    layout = binary_layout(cov)
+    assert _escapes(layout) > 0
+    assert parse_binary_blob(hs_encode_binary(t, cover=cov)) == layout
+
+
+def test_parse_one_shape_codebook():
+    t = left_chain(50)
+    cov = decompose_binary(t, 1)
+    layout = binary_layout(cov)
+    assert set(layout[2]) == {"()"}
+    blob = hs_encode_binary(t, cover=cov)
+    assert blob.parts["codewords"] == 2 * 50   # a set flag and the 1-bit codeword
+    assert parse_binary_blob(blob) == layout
+    assert hs_decode_binary(blob) == t
+
+
+def test_parse_codewords_longer_than_a_window(monkeypatch):
+    # A complete but maximally skewed code: lengths 1, 2, ..., k-1, k-1, the
+    # longest for the smallest shape (escaped) and then the largest ones.
+    def skewed(freq):
+        order = sorted(freq, key=lambda s: (len(s), s))
+        order = order[1:] + order[:1]
+        return {s: min(i + 1, len(order) - 1) for i, s in enumerate(order)}
+
+    monkeypatch.setattr(hypercodec, "_huffman_lengths", skewed)
+    t = S.sample(S.UniformSource(), 3000, 11)
+    cov = decompose_binary(t, 40)
+    layout = binary_layout(cov)
+    code = build_shape_code(layout[2])
+    assert code.max_len > 64
+    assert any(code.code_len[s] > 64 and restrict(code, s).get(0) == 1
+               for s in layout[2])
+    assert _escapes(layout) > 0
+    blob = hs_encode_binary(t, cover=cov)
+    assert parse_binary_blob(blob) == layout
+    assert hs_decode_binary(HsBlob.from_bytes(blob.to_bytes())) == t
+
+
+def test_codebook_rejects_out_of_range_lengths():
+    from hypertree.hypercodec import ShapeCode
+    for lengths in ([("()", 0)], [("()", 2)], [("()", 1), ("(())", 2)]):
+        with pytest.raises(MalformedStream):
+            ShapeCode.from_lengths(lengths)
+    assert ShapeCode.from_lengths([("(())", 1), ("()", 1)]).max_len == 1
+
+
+def test_two_portals_at_one_null_rejected():
+    # a micro tree whose two portal fields name the same null: the index
+    # built from it would answer every inorder rank wrongly
+    from hypertree.navigate import build_nav
+    t = S.sample(S.BstSource(), 3000, 5)
+    n, top, shapes, fields = binary_layout(decompose_binary(t))
+    i = next(i for i in range(top.n) if top.left[i + 1] and top.right[i + 1])
+    fields = list(fields)
+    fields[i] = (fields[i][0], fields[i][0])
+    blob = hypercodec._write_blob("binary", n, top, shapes, fields, [])
+    for decode in (build_nav, hs_decode_binary):
+        with pytest.raises(MalformedStream) as info:
+            decode(blob)
+        assert info.value.part == "portals"
