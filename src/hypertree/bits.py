@@ -1,10 +1,12 @@
 """Bit-exact primitives: an MSB-first bit buffer for writing, a cursor that
 reads it by the word, and Elias gamma.
 
-Writers append bits to a ``BitBuf``. Readers never walk a stream bit by bit:
-``BitCursor`` takes each field from an integer window of the payload bytes,
-reads a gamma code through the ``bit_length()`` of a window, and reads a run
-of equal-width fields as one numpy block. The word-RAM model of the source
+Writers append bits to a ``BitBuf``, or build a numpy array of 0s and 1s
+and pack it once (``BitBuf.from_array``; ``to_array`` is the inverse).
+Readers never walk a stream bit by bit: ``BitCursor`` takes each field from
+an integer window of the payload bytes, reads a gamma code through the
+``bit_length()`` of a window, and reads a run of equal-width fields as one
+numpy block. The word-RAM model of the source
 paper reads Theta(lg n) bits per step in the same way.
 """
 
@@ -28,6 +30,11 @@ class MalformedStream(ValueError):
         self.bit_offset = bit_offset
 
 
+_TO_DIGITS = str.maketrans("()", "10")
+_TO_PARENS = str.maketrans("10", "()")
+_DROP_DIGITS = str.maketrans("", "", "01")
+
+
 class BitBuf:
     """Growable bit buffer, MSB-first within bytes.
 
@@ -43,13 +50,11 @@ class BitBuf:
         self._accbits = 0
         self._len = 0
         if bits:
-            for ch in bits:
-                if ch == "1" or ch == "(":
-                    self.append_bit(1)
-                elif ch == "0" or ch == ")":
-                    self.append_bit(0)
-                else:
-                    raise ValueError(f"bad bit character {ch!r}")
+            digits = bits.translate(_TO_DIGITS)
+            bad = digits.translate(_DROP_DIGITS)
+            if bad:
+                raise ValueError(f"bad bit character {bad[0]!r}")
+            self.append_bits(int(digits, 2), len(digits))
 
     def __len__(self) -> int:
         return self._len
@@ -71,12 +76,10 @@ class BitBuf:
             raise ValueError("value does not fit width")
         acc = (self._acc << width) | value
         accbits = self._accbits + width
-        by = self._bytes
-        while accbits >= 8:
-            accbits -= 8
-            by.append((acc >> accbits) & 0xFF)
-        self._acc = acc & ((1 << accbits) - 1)
-        self._accbits = accbits
+        rest = accbits & 7
+        self._bytes += (acc >> rest).to_bytes(accbits >> 3, "big")
+        self._acc = acc & ((1 << rest) - 1)
+        self._accbits = rest
         self._len += width
 
     def get(self, i: int) -> int:
@@ -95,11 +98,22 @@ class BitBuf:
             out += bytes([self._acc << (8 - self._accbits)])
         return out
 
+    def to_int(self) -> int:
+        """The bits as one unsigned int, MSB first; inverse of ``from_int``."""
+        return int.from_bytes(self.to_bytes(), "big") >> (-self._len % 8)
+
+    def to_array(self) -> np.ndarray:
+        """The bits as a uint8 array of 0s and 1s; inverse of ``from_array``."""
+        return np.unpackbits(np.frombuffer(self.to_bytes(), np.uint8),
+                             count=self._len)
+
     def to01(self) -> str:
-        return "".join("1" if self.get(i) else "0" for i in range(self._len))
+        if not self._len:
+            return ""
+        return format(self.to_int(), f"0{self._len}b")
 
     def to_paren(self) -> str:
-        return "".join("(" if self.get(i) else ")" for i in range(self._len))
+        return self.to01().translate(_TO_PARENS)
 
     @classmethod
     def from_bytes(cls, data: bytes, nbits: int) -> "BitBuf":
@@ -120,6 +134,11 @@ class BitBuf:
         """The ``nbits``-bit binary form of ``value``, MSB first."""
         return cls.from_bytes(
             (value << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big"), nbits)
+
+    @classmethod
+    def from_array(cls, bits: np.ndarray) -> "BitBuf":
+        """A buffer holding an array of 0s and 1s, packed once."""
+        return cls.from_bytes(np.packbits(bits).tobytes(), len(bits))
 
     def __eq__(self, other) -> bool:
         return (

@@ -13,8 +13,8 @@ import sys
 from .bits import MalformedStream
 from .cover import decompose_binary, decompose_ordinal
 from .hypercodec import (
-    hs_decode_binary, hs_decode_ordinal, hs_encode_binary, hs_encode_ordinal,
-    read_hst, write_hst,
+    cover_stats, hs_decode_binary, hs_decode_ordinal, hs_encode_binary,
+    hs_encode_ordinal, read_hst, write_hst,
 )
 from .rmq import RMQIndex, rmq_build, runs_profile
 from .navigate import build_nav
@@ -96,9 +96,9 @@ def cmd_sample(args) -> int:
 
 def cmd_analyze(args) -> int:
     source = srcs.parse_source(args.source) if args.source else None
-    kind = "ordinal" if (source is not None and source.kind == "ordinal") else "binary"
-    if args.kind:
-        kind = args.kind
+    kind = args.kind or (source.kind if source is not None else "binary")
+    if source is not None and source.kind != kind:
+        return _fail(f"source {args.source} gives {source.kind} trees, not {kind} ones")
     with open(args.infile) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     for ln in lines:
@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
             row["entropyPerNode"] = round(rep.per_node, 6)
         row["space"] = blob.parts
         row["B"] = cover.B
-        row["m"] = len(cover.micro)
+        row.update(cover_stats(cover))
         if args.dump_cover:
             row["cover"] = _cover_dump(cover)
         print(json.dumps(row, sort_keys=True))
@@ -188,14 +188,16 @@ def cmd_bench(args) -> int:
             if isinstance(t, BinaryTree):
                 cover = decompose_binary(t, args.block)
                 blob = hs_encode_binary(t, cover=cover)
+                m = len(cover.shape_id)
             else:
                 cover = decompose_ordinal(t, args.block)
                 blob = hs_encode_ordinal(t, cover=cover)
+                m = len(cover.micro)
             p = blob.parts
             lp = source.log_prob(t)
             rows.append({
                 "source": args.source, "n": t.n, "replicate": rep, "seed": seed,
-                "B": cover.B, "m": len(cover.micro),
+                "B": cover.B, "m": m,
                 "bitsTotal": p["total"],
                 "bitsPerNode": f"{p['total'] / t.n:.6f}",
                 "headerBits": p["header"], "topTierBits": p["topTierBP"],

@@ -8,13 +8,28 @@ active components). Children are processed left to right. Ordinal micro trees
 may share nodes, but only as the common root of every component containing
 them; a node at which a seal happened never travels upward, which is what
 keeps that invariant.
+
+The binary decomposition works on flat arrays, after Farzan & Munro's
+statement of the cover as arrays of micro-tree records. The greedy loop
+keeps one "merged into" pointer per component and a flat list of (node,
+side) portals; the pointers are resolved by numpy pointer jumping. The
+finalization is numpy throughout: micro trees are numbered by the preorder
+of their roots (the top tier's preorder), each gets a shape id from the
+bytes of its (size, local left children, local right children) row, per-shape
+tables are built once per distinct shape, and the portals are ordered with
+``lexsort``. ``BinaryCover`` keeps these arrays; its ``MicroTree`` list is a
+view built on first read, for validation, reports and tests. The ordinal
+decomposition builds ``MicroTree`` objects directly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
-from .trees import BinaryTree, OrdinalTree, annotate
+import numpy as np
+
+from .trees import BinaryTree, OrdinalTree, annotate, bp_encode_binary
 
 # parent edge types of ordinal micro trees, in the order (i)..(v)
 EDGE_NEW_LEFT, EDGE_CONT_LEFT, EDGE_NEW_RIGHT, EDGE_CONT_RIGHT, EDGE_EXTERNAL = range(5)
@@ -42,10 +57,10 @@ class MicroTree:
         "shared_root", "parent_edge_type",
     )
 
-    def __init__(self):
-        self.shape = None
-        self.local_to_global: list[int] = [0]
-        self.root_global = 0
+    def __init__(self, shape, local_to_global: list[int]):
+        self.shape = shape
+        self.local_to_global = local_to_global  # local node j -> global id; [0] unused
+        self.root_global = local_to_global[1]
         self.left_portal: int | None = None
         self.right_portal: int | None = None
         self.left_slot: tuple[int, int] | None = None   # (local node, 0=L 1=R)
@@ -53,9 +68,11 @@ class MicroTree:
         self.left_child: int | None = None              # micro index
         self.right_child: int | None = None
         self.ext_portal: tuple[int, int] | None = None  # (local preorder pos, child rank)
-        self.ext_children: list[int] = []
-        self.left_groups: list[list[int]] = []
-        self.right_groups: list[list[int]] = []
+        # ordinal attachments; tuples until set, so a binary view allocates
+        # no empty lists per micro tree
+        self.ext_children: Sequence[int] = ()
+        self.left_groups: Sequence[Sequence[int]] = ()
+        self.right_groups: Sequence[Sequence[int]] = ()
         self.shared_root = False
         self.parent_edge_type: int | None = None
 
@@ -78,14 +95,70 @@ class CoverStats:
 
 
 class BinaryCover:
-    __slots__ = ("micro", "top_tier", "B", "n", "node_micro")
+    """A binary cover as arrays. Micro trees are numbered in top-tier
+    preorder, which is the preorder of their roots in the tree.
 
-    def __init__(self, micro, top_tier, B, n, node_micro):
-        self.micro: list[MicroTree] = micro        # in top-tier preorder
+    - ``node_micro[v]``: the micro tree of node v (entry 0 unused);
+    - ``members[starts[i]:starts[i + 1]]``: the nodes of micro i in local
+      preorder, so its root is ``members[starts[i]]``;
+    - ``shape_id[i]`` indexes ``shapes`` (the distinct local shapes) and
+      ``shape_bps`` (their BP strings);
+    - ``fields[i]``: the first and second portal of micro i in preorder, each
+      1 + its null rank in the shape (0 for none); ``portal_node`` and
+      ``portal_side`` give the local node and side (0 left, 1 right) of the
+      null. The top tier's left child of micro i hangs from the first portal
+      and its right child from the second.
+
+    ``micro`` is a list of ``MicroTree`` views, built on first read.
+    """
+
+    __slots__ = ("top_tier", "B", "n", "node_micro", "members", "starts",
+                 "shape_id", "shapes", "shape_bps", "fields", "portal_node",
+                 "portal_side", "_micro")
+
+    def __init__(self, top_tier, B, n, node_micro, members, starts, shape_id,
+                 shapes, shape_bps, fields, portal_node, portal_side):
         self.top_tier: BinaryTree = top_tier
         self.B = B
         self.n = n
-        self.node_micro: list[int] = node_micro    # global node -> micro index
+        self.node_micro = node_micro
+        self.members = members
+        self.starts = starts
+        self.shape_id = shape_id
+        self.shapes: list[BinaryTree] = shapes
+        self.shape_bps: list[str] = shape_bps
+        self.fields = fields
+        self.portal_node = portal_node
+        self.portal_side = portal_side
+        self._micro: list[MicroTree] | None = None
+
+    @property
+    def micro(self) -> list[MicroTree]:
+        if self._micro is None:
+            self._micro = self._micro_view()
+        return self._micro
+
+    def _micro_view(self) -> list[MicroTree]:
+        members = self.members.tolist()
+        starts = self.starts.tolist()
+        fields = self.fields.tolist()
+        pnode = self.portal_node.tolist()
+        pside = self.portal_side.tolist()
+        children = (self.top_tier.left, self.top_tier.right)
+        out = []
+        for i, sid in enumerate(self.shape_id.tolist()):
+            mt = MicroTree(self.shapes[sid], [0] + members[starts[i]:starts[i + 1]])
+            for k in (0, 1):
+                if not fields[i][k]:
+                    continue
+                slot = (pnode[i][k], pside[i][k])
+                rank, child = fields[i][k] - 1, children[k][i + 1] - 1
+                if k == 0:
+                    mt.left_slot, mt.left_portal, mt.left_child = slot, rank, child
+                else:
+                    mt.right_slot, mt.right_portal, mt.right_child = slot, rank, child
+            out.append(mt)
+        return out
 
 
 class OrdinalCover:
@@ -100,14 +173,14 @@ class OrdinalCover:
 
 
 class _Comp:
-    __slots__ = ("members", "edges", "permanent",
-                 "portals", "left_att", "right_att", "ext_att")
+    """A component of the ordinal decomposition."""
+
+    __slots__ = ("members", "edges", "permanent", "left_att", "right_att", "ext_att")
 
     def __init__(self, members):
         self.members = members
-        self.edges: list[tuple[int, int]] = []     # ordinal-only local edges
+        self.edges: list[tuple[int, int]] = []     # local (parent, child) edges
         self.permanent = False
-        self.portals: list[tuple[int, int, "_Comp"]] = []  # binary (node, side, child)
         self.left_att: list[list["_Comp"]] = []
         self.right_att: list[list["_Comp"]] = []
         self.ext_att: tuple[list["_Comp"], int, int] | None = None
@@ -125,223 +198,150 @@ def decompose_binary(t: BinaryTree, B: int | None = None) -> BinaryCover:
     if B < 1:
         raise ValueError("B must be >= 1")
     left, right = t.left, t.right
+    # A component is named by the node that started it. Merging component
+    # c into d sets into[c] = d; portals are (node, side) pairs, owned by
+    # the micro tree of their node.
     size = [0] * (n + 1)
-    for v in range(n, 0, -1):
-        size[v] = 1 + size[left[v]] + size[right[v]]
-
-    # components as linked node lists: O(1) merging, plain int arrays
-    nxt = [0] * (n + 1)
-    heads: list[int] = [0]   # comp id 0 unused
-    tails: list[int] = [0]
-    csize: list[int] = [0]
-    perm: list[bool] = [False]
-    portals: dict[int, list[tuple[int, int, int]]] = {}  # cid -> (node, side, child cid)
     comp_of = [0] * (n + 1)
-    sealed: list[int] = []
-
+    csize = [0] * (n + 1)
+    perm = [False] * (n + 1)
+    into = list(range(n + 1))
+    pnode: list[int] = []
+    pside: list[int] = []
     for v in range(n, 0, -1):
         l, r = left[v], right[v]
-        lc = comp_of[l] if l else 0
-        rc = comp_of[r] if r else 0
-        heavy_l = l != 0 and size[l] >= B
-        heavy_r = r != 0 and size[r] >= B
-        if heavy_l and heavy_r:
-            # branching node: seal everything, v stays alone
-            if not perm[lc]:
-                perm[lc] = True
-                sealed.append(lc)
-            if not perm[rc]:
-                perm[rc] = True
-                sealed.append(rc)
-            c = len(heads)
-            heads.append(v)
-            tails.append(v)
-            csize.append(1)
-            perm.append(True)
-            sealed.append(c)
-            portals[c] = [(v, 0, lc), (v, 1, rc)]
+        sl, sr = size[l], size[r]
+        size[v] = 1 + sl + sr
+        lc, rc = comp_of[l], comp_of[r]
+        if sl >= B:
+            if sr >= B:
+                # branching node: seal everything, v stays alone
+                perm[lc] = perm[rc] = perm[v] = True
+                csize[v] = 1
+                comp_of[v] = v
+                pnode += (v, v)
+                pside += (0, 1)
+                continue
+            hc, other, side = lc, rc, 0
+        elif sr >= B:
+            hc, other, side = rc, lc, 1
         else:
-            if heavy_l or heavy_r:
-                hc, other, side = (lc, rc, 0) if heavy_l else (rc, lc, 1)
-                if perm[hc]:
-                    c = len(heads)
-                    heads.append(v)
-                    tails.append(v)
-                    csize.append(1)
-                    perm.append(False)
-                    portals[c] = [(v, side, hc)]
-                else:
-                    c = hc
-                    nxt[v] = heads[c]
-                    heads[c] = v
-                    csize[c] += 1
-            else:
-                other = rc
-                if lc:
-                    c = lc
-                    nxt[v] = heads[c]
-                    heads[c] = v
-                    csize[c] += 1
-                else:
-                    c = len(heads)
-                    heads.append(v)
-                    tails.append(v)
-                    csize.append(1)
-                    perm.append(False)
-            if other:
-                nxt[tails[c]] = heads[other]
-                tails[c] = tails[other]
-                csize[c] += csize[other]
-                p2 = portals.pop(other, None)
-                if p2:
-                    pl = portals.get(c)
-                    if pl is None:
-                        portals[c] = p2
-                    else:
-                        pl.extend(p2)
-            if csize[c] >= B and not perm[c]:
-                perm[c] = True
-                sealed.append(c)
+            # both light: v joins its left child's component, which a light
+            # subtree never seals, so ``side`` is not read below
+            hc, other = lc, rc
+        if perm[hc]:
+            c = v
+            csize[v] = 1
+            pnode.append(v)
+            pside.append(side)
+        elif hc:
+            c = hc
+            csize[c] += 1
+        else:
+            c = v
+            csize[v] = 1
+        if other:
+            into[other] = c
+            csize[c] += csize[other]
+        if csize[c] >= B:
+            perm[c] = True
         comp_of[v] = c
-
-    rootc = comp_of[t.root]
-    if not perm[rootc]:
-        perm[rootc] = True
-        sealed.append(rootc)
-    return _finalize_binary(t, B, sealed, rootc, heads, nxt, csize, portals)
+    return _finalize_binary(t, B, comp_of, into, pnode, pside)
 
 
-class _ShapeInfo:
-    __slots__ = ("tree", "inorder", "left_size")
-
-    def __init__(self, llocal, rlocal):
-        mu = len(llocal) - 1
-        self.tree = BinaryTree(mu, list(llocal), list(rlocal))
-        ann = annotate(self.tree)
-        self.inorder = ann.inorder_rank
-        ls = [0] * (mu + 1)
-        for j in range(1, mu + 1):
-            ls[j] = ann.subtree_size[llocal[j]] if llocal[j] else 0
-        self.left_size = ls
-
-
-def _finalize_binary(t: BinaryTree, B: int, sealed: list[int], root_cid: int,
-                     heads, nxt, csize, portals) -> BinaryCover:
-    import numpy as np
-
+def _finalize_binary(t: BinaryTree, B: int, comp_of, into, pnode, pside) -> BinaryCover:
     n = t.n
-    m = len(sealed)
-    # stamp each node with its (sealed) component index
-    pre_id = [0] * (n + 1)
-    for i, cid in enumerate(sealed):
-        v = heads[cid]
-        while v:
-            pre_id[v] = i
-            v = nxt[v]
-    cid_to_i = {cid: i for i, cid in enumerate(sealed)}
+    # resolve each node's component through the merge pointers
+    into = np.asarray(into, dtype=np.int64)
+    while True:
+        nxt = into[into]
+        if np.array_equal(nxt, into):
+            break
+        into = nxt
+    comp = into[np.asarray(comp_of, dtype=np.int64)]
+    left = np.asarray(t.left, dtype=np.int64)
+    right = np.asarray(t.right, dtype=np.int64)
+    ids = np.arange(n + 1, dtype=np.int64)
+    parent = np.zeros(n + 1, dtype=np.int64)
+    parent[left] = ids
+    parent[right] = ids
+    parent[0] = 0
+    # micro trees in the preorder of their roots: the top tier's preorder
+    roots = np.flatnonzero(comp[1:] != comp[parent[1:]]) + 1
+    m = len(roots)
+    micro_of = np.zeros(n + 1, dtype=np.int64)
+    micro_of[comp[roots]] = np.arange(m)
+    node_micro = micro_of[comp]
+    node_micro[0] = 0
 
-    # group nodes by component, ascending ids (= local preorder); compute
-    # local indices and the induced left/right structure, all vectorized
-    comp_arr = np.asarray(pre_id, dtype=np.int64)
-    perm = np.argsort(comp_arr[1:], kind="stable") + 1   # nodes grouped by comp
-    sizes = np.bincount(comp_arr[1:], minlength=m)
+    # group nodes by micro tree, ascending ids (= local preorder); local
+    # indices and the induced left/right structure
+    members = np.argsort(node_micro[1:], kind="stable") + 1
+    sizes = np.bincount(node_micro[1:], minlength=m)
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    loc_sorted = np.arange(n, dtype=np.int64) - starts[comp_arr[perm]] + 1
+    mic = node_micro[members]
     loc_of = np.zeros(n + 1, dtype=np.int64)
-    loc_of[perm] = loc_sorted
-    left_np = np.asarray(t.left, dtype=np.int64)[perm]
-    right_np = np.asarray(t.right, dtype=np.int64)[perm]
-    comp_ext = comp_arr.copy()
-    comp_ext[0] = -1
-    comp_sorted = comp_arr[perm]
-    lloc = np.where((left_np != 0) & (comp_ext[left_np] == comp_sorted),
-                    loc_of[left_np], 0).astype(np.int16)
-    rloc = np.where((right_np != 0) & (comp_ext[right_np] == comp_sorted),
-                    loc_of[right_np], 0).astype(np.int16)
+    loc_of[members] = np.arange(1, n + 1) - starts[mic]
+    outside = np.concatenate(([-1], node_micro[1:]))
+    lch, rch = left[members], right[members]
+    lloc = np.where(outside[lch] == mic, loc_of[lch], 0)
+    rloc = np.where(outside[rch] == mic, loc_of[rch], 0)
 
-    shape_registry: dict[tuple[bytes, bytes], _ShapeInfo] = {}
-    nodes_sorted = perm.tolist()
-    starts_list = starts.tolist()
-    micros: list[MicroTree] = [None] * m  # type: ignore[list-item]
-    infos_of: list[_ShapeInfo] = [None] * m  # type: ignore[list-item]
-    new_micro = MicroTree.__new__
-    for i in range(m):
-        a = starts_list[i]
-        b = starts_list[i + 1]
-        key = (lloc[a:b].tobytes(), rloc[a:b].tobytes())
-        info = shape_registry.get(key)
-        if info is None:
-            info = _ShapeInfo([0] + lloc[a:b].tolist(), [0] + rloc[a:b].tolist())
-            shape_registry[key] = info
-        infos_of[i] = info
-        mt = new_micro(MicroTree)
-        mem = nodes_sorted[a:b]
-        mem.insert(0, 0)
-        mt.local_to_global = mem
-        mt.root_global = mem[1]
-        mt.shape = info.tree
-        mt.left_portal = mt.right_portal = None
-        mt.left_slot = mt.right_slot = None
-        mt.left_child = mt.right_child = None
-        mt.ext_portal = None
-        mt.ext_children = ()
-        mt.left_groups = mt.right_groups = ()
-        mt.shared_root = False
-        mt.parent_edge_type = None
-        micros[i] = mt
+    # shape id: one row (size, lloc..., rloc...) per micro, compared as bytes
+    w = int(sizes.max())
+    rows = np.zeros((m, 1 + 2 * w), dtype=np.int16 if w < 1 << 15 else np.int64)
+    rows[:, 0] = sizes
+    rows[mic, loc_of[members]] = lloc
+    rows[mic, w + loc_of[members]] = rloc
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, shape_id = np.unique(keys, return_index=True, return_inverse=True)
+    shape_id = shape_id.reshape(-1)
 
-    ports: list[list[tuple[int, int, int, int]]] = [()] * m  # type: ignore[list-item]
-    for cid, pl in portals.items():
-        i = cid_to_i[cid]
-        if len(pl) > 2:
-            raise AssertionError("binary micro tree with >2 portals")
-        info = infos_of[i]
-        infos = []
-        for (gv, side, child_cid) in pl:
-            lv = int(loc_of[gv])
-            thresh = lv + 1 if side == 0 else lv + info.left_size[lv] + 1
-            infos.append((thresh, side, lv, cid_to_i[child_cid]))
-        infos.sort(key=lambda x: (x[0], x[1]))
-        ports[i] = infos
+    # per distinct shape: the tree, its BP, inorder ranks and left sizes
+    shapes: list[BinaryTree] = []
+    shape_bps: list[str] = []
+    inorder = np.zeros((len(first), w + 1), dtype=np.int64)
+    left_size = np.zeros((len(first), w + 1), dtype=np.int64)
+    for k, i in enumerate(first.tolist()):
+        mu = int(sizes[i])
+        sh = BinaryTree(mu, [0] + rows[i, 1:mu + 1].tolist(),
+                        [0] + rows[i, w + 1:w + mu + 1].tolist())
+        ann = annotate(sh)
+        shapes.append(sh)
+        shape_bps.append(bp_encode_binary(sh).to_paren())
+        inorder[k, :mu + 1] = ann.inorder_rank
+        left_size[k, :mu + 1] = [ann.subtree_size[x] for x in sh.left]
 
-    # explicit top-tier DFS fixes the final micro order
-    order: list[int] = []
-    stack = [cid_to_i[root_cid]]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        pl = ports[i]
-        for k in range(len(pl) - 1, -1, -1):
-            stack.append(pl[k][3])
-    if len(order) != m:
+    # portals in (owner, preorder threshold, side) order; a micro tree's
+    # first portal holds its top-tier left child, the second its right
+    pn = np.asarray(pnode, dtype=np.int64)
+    side = np.asarray(pside, dtype=np.int64)
+    owner = node_micro[pn]
+    lv = loc_of[pn]
+    sid = shape_id[owner]
+    thresh = np.where(side == 0, lv + 1, lv + left_size[sid, lv] + 1)
+    rank = np.where(side == 0, inorder[sid, lv] - 1, inorder[sid, lv])
+    child = node_micro[np.where(side == 0, left[pn], right[pn])]
+    o = np.lexsort((side, thresh, owner))
+    owner, lv, side, rank, child = owner[o], lv[o], side[o], rank[o], child[o]
+    if (owner[2:] == owner[:-2]).any():
+        raise AssertionError("binary micro tree with >2 portals")
+    counts = np.bincount(child, minlength=m)
+    if counts[0] or (counts[1:] != 1).any():
         raise AssertionError("top tier does not reach every micro tree")
-    final_of = [0] * m
-    for new, old in enumerate(order):
-        final_of[old] = new
-
-    node_micro_np = np.asarray(final_of, dtype=np.int64)[comp_arr]
-    node_micro_np[0] = 0
-    node_micro = node_micro_np.tolist()
-    micros = [micros[old] for old in order]
-
-    lft = [0] * (m + 1)
-    rgt = [0] * (m + 1)
-    for cid in portals:
-        old = cid_to_i[cid]
-        new = final_of[old]
-        mt = micros[new]
-        info = infos_of[old]
-        for k, (_, side, lv, child_i) in enumerate(ports[old]):
-            rank = info.inorder[lv] - 1 if side == 0 else info.inorder[lv]
-            chid = final_of[child_i]
-            if k == 0:
-                mt.left_slot, mt.left_portal, mt.left_child = (lv, side), rank, chid
-                lft[new + 1] = chid + 1
-            else:
-                mt.right_slot, mt.right_portal, mt.right_child = (lv, side), rank, chid
-                rgt[new + 1] = chid + 1
-    top = BinaryTree(m, lft, rgt)
-    return BinaryCover(micros, top, B, n, node_micro)
+    k = np.zeros(len(owner), dtype=np.int64)
+    k[1:] = owner[1:] == owner[:-1]
+    fields = np.zeros((m, 2), dtype=np.int64)
+    portal_node = np.zeros((m, 2), dtype=np.int64)
+    portal_side = np.zeros((m, 2), dtype=np.int64)
+    fields[owner, k] = rank + 1
+    portal_node[owner, k] = lv
+    portal_side[owner, k] = side
+    kids = np.zeros((2, m + 1), dtype=np.int64)
+    kids[k, owner + 1] = child + 1
+    top = BinaryTree(m, *kids.tolist())
+    return BinaryCover(top, B, n, node_micro, members, starts, shape_id,
+                       shapes, shape_bps, fields, portal_node, portal_side)
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +510,12 @@ def _finalize_ordinal(t: OrdinalTree, B: int, sealed: list[_Comp],
         mem = c.members
         for g in mem:
             node_micros[g].append(i)
-        mt = MicroTree()
-        mt.local_to_global = [0] + mem
-        mt.root_global = mem[0]
         loc = {g: j + 1 for j, g in enumerate(mem)}
         mu = len(mem)
         ch: list[list[int]] = [[] for _ in range(mu + 1)]
         for (p, u) in c.edges:
             ch[loc[p]].append(loc[u])
-        mt.shape = OrdinalTree(mu, ch)
+        mt = MicroTree(OrdinalTree(mu, ch), [0] + mem)
         mt.parent_edge_type = parent_type[id(c)]
         mt.left_groups = [[index[id(x)] for x in g] for g in c.left_att]
         mt.right_groups = [[index[id(x)] for x in g] for g in c.right_att]
@@ -629,6 +626,7 @@ def _validate_binary(cover: BinaryCover, t, out: list[str]):
     if t.n != n:
         out.append("tree size mismatch")
         return
+    node_micro = cover.node_micro.tolist()
     for i, mt in enumerate(cover.micro):
         loc = mt.local_to_global
         sh = mt.shape
@@ -637,7 +635,7 @@ def _validate_binary(cover: BinaryCover, t, out: list[str]):
             g = loc[j]
             for side, gch in ((0, t.left[g]), (1, t.right[g])):
                 lch = sh.left[j] if side == 0 else sh.right[j]
-                inside = bool(gch) and cover.node_micro[gch] == i
+                inside = bool(gch) and node_micro[gch] == i
                 if inside != bool(lch) or (inside and loc[lch] != gch):
                     ok = False
         if not ok:

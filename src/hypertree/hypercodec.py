@@ -16,7 +16,11 @@ Portal fields are sized from the largest codebook shape so a blob decodes
 without knowing B.
 
 Both kinds share one writer (``_write_blob``) and one reader
-(``_read_blob``), which reads by the word: canonical codewords through a
+(``_read_blob``). The writer builds each part as a numpy bit block and packs
+them once: the top tier's BP (``bp_encode_binary`` places each node's open
+paren directly), the codewords by gathering each distinct shape's restricted
+codeword per micro tree, and the portal fields and edge types as fixed-width
+blocks. The reader reads by the word: canonical codewords through a
 first-code/limit table over a peeked window, the top tier's BP with numpy,
 and the portal fields and edge types as fixed-width blocks. After the last
 field only the zero byte padding may remain. A binary blob's contents are
@@ -31,6 +35,8 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
+
+import numpy as np
 
 from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode
 from .cover import (
@@ -191,36 +197,37 @@ def _escape_threshold(size: int) -> int:
     return 2 * size + 2 * ((size + 1).bit_length() - 1)
 
 
+def _escaped(code: ShapeCode, bp: str) -> bool:
+    """Whether a shape is written as an escape: its codeword is longer than
+    the restricted length allows (or the code lacks it)."""
+    cw = code.codewords.get(bp)
+    return cw is None or cw[1] > _escape_threshold(len(bp) // 2)
+
+
 def restrict(code: ShapeCode, bp: str, out: BitBuf | None = None) -> BitBuf:
     """Length-restricted codeword: 1*C(shape) or the escape 0*gamma(|s|+1)*BP."""
     buf = out if out is not None else BitBuf()
-    size = len(bp) // 2
-    cw = code.codewords.get(bp)
-    if cw is not None and cw[1] <= _escape_threshold(size):
-        buf.append_bit(1)
-        buf.append_bits(cw[0], cw[1])
-    else:
+    if _escaped(code, bp):
         buf.append_bit(0)
         _write_sized_bp(bp, buf)
+    else:
+        cw = code.codewords[bp]
+        buf.append_bit(1)
+        buf.append_bits(cw[0], cw[1])
     return buf
 
 
 def _write_sized_bp(bp: str, buf: BitBuf) -> None:
     """gamma(size+1), then the BP bits of a shape."""
     gamma_encode(len(bp) // 2 + 1, buf)
-    for ch in bp:
-        buf.append_bit(1 if ch == "(" else 0)
-
-
-_PARENS = str.maketrans("10", "()")
+    bits = BitBuf(bp)
+    buf.append_bits(bits.to_int(), len(bits))
 
 
 def _read_sized_bp(cur: BitCursor) -> str:
     """Inverse of ``_write_sized_bp``: the BP bits are read as one field."""
     width = 2 * (gamma_decode(cur) - 1)
-    if not width:
-        return ""
-    return format(cur.read_bits(width), f"0{width}b").translate(_PARENS)
+    return BitBuf.from_int(cur.read_bits(width), width).to_paren()
 
 
 class HsBlob:
@@ -278,50 +285,60 @@ def _portal_width(code: ShapeCode) -> int:
     return max(1, math.ceil(math.log2(mu_star + 2)))
 
 
-def _micro_bps(micros, encode) -> list[str]:
-    """BP string of each micro tree's shape; micro trees share shape objects."""
-    bp_of: dict[int, str] = {}
-    out = []
-    for mt in micros:
-        s = bp_of.get(id(mt.shape))
-        if s is None:
-            s = bp_of[id(mt.shape)] = encode(mt.shape).to_paren()
-        out.append(s)
-    return out
+def _cover_shapes(cover: BinaryCover | OrdinalCover) -> tuple[list[str], np.ndarray]:
+    """The distinct shape BP strings of a cover and each micro tree's index
+    into them."""
+    if isinstance(cover, BinaryCover):
+        return cover.shape_bps, cover.shape_id
+    index: dict[str, int] = {}
+    ids = [index.setdefault(bp_encode_ordinal(mt.shape).to_paren(), len(index))
+           for mt in cover.micro]
+    return list(index), np.asarray(ids, dtype=np.int64)
 
 
-def _write_blob(kind: str, n: int, top, shapes: list[str],
-                fields: list[tuple[int, int]], edge_types: list[int]) -> HsBlob:
-    """Serialize either kind: header, top-tier BP, codebook, restricted
-    codewords, one pair of portal fields per micro tree, 3-bit edge types."""
-    code = build_shape_code(shapes)
-    w = _portal_width(code)
-    buf = BitBuf()
-    parts: dict[str, int] = {}
+def _shape_code(shape_bps: list[str], shape_id: np.ndarray) -> ShapeCode:
+    freq = np.bincount(shape_id, minlength=len(shape_bps)).tolist()
+    return build_shape_code(dict(zip(shape_bps, freq)))
 
-    def close(part: str) -> None:
-        parts[part] = len(buf) - sum(parts.values())
 
-    gamma_encode(n + 1, buf)
-    gamma_encode(len(shapes) + 1, buf)
-    close("header")
-    (bp_encode_binary if kind == "binary" else bp_encode_ordinal)(top, buf)
-    close("topTierBP")
-    _emit_codebook(code, buf)
-    close("codebook")
-    for s in shapes:
-        restrict(code, s, buf)
-    close("codewords")
-    for a, b in fields:
-        buf.append_bits(a, w)
-        buf.append_bits(b, w)
-    close("portals")
-    for ty in edge_types:
-        buf.append_bits(ty, 3)
-    close("edgeTypes")
+def _field_block(values, width: int) -> np.ndarray:
+    """Each value as a ``width``-bit field, MSB first, in one bit block."""
+    values = np.asarray(values, dtype=np.int64).reshape(-1, 1)
+    return ((values >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8).ravel()
+
+
+def _write_blob(kind: str, n: int, top_bits: np.ndarray, shape_bps: list[str],
+                shape_id: np.ndarray, fields: np.ndarray, edge_types=()) -> HsBlob:
+    """Serialize either kind from bit blocks, packed once: header, top-tier
+    BP, codebook, restricted codewords (one per distinct shape, gathered per
+    micro tree), one pair of portal fields per micro tree, 3-bit edge types.
+    Micro tree i has shape ``shape_bps[shape_id[i]]`` and portal fields
+    ``fields[i]``."""
+    m = len(shape_id)
+    code = _shape_code(shape_bps, shape_id)
+    header = gamma_encode(n + 1)
+    gamma_encode(m + 1, header)
+    codebook = BitBuf()
+    _emit_codebook(code, codebook)
+    words = [restrict(code, s).to_array() for s in shape_bps]
+    lens = np.array([len(wd) for wd in words], dtype=np.int64)
+    table = np.zeros((len(words), int(lens.max())), dtype=np.uint8)
+    for k, wd in enumerate(words):
+        table[k, :len(wd)] = wd
+    codewords = table[shape_id][np.arange(table.shape[1]) < lens[shape_id][:, None]]
+    blocks = {
+        "header": header.to_array(),
+        "topTierBP": top_bits,
+        "codebook": codebook.to_array(),
+        "codewords": codewords,
+        "portals": _field_block(fields, _portal_width(code)),
+        "edgeTypes": _field_block(edge_types, 3),
+    }
+    parts = {name: len(block) for name, block in blocks.items()}
+    bits = np.concatenate(list(blocks.values()))
     parts["huffman"] = code.total_bits()
-    parts["total"] = len(buf)
-    return HsBlob(kind, buf, parts)
+    parts["total"] = len(bits)
+    return HsBlob(kind, BitBuf.from_array(bits), parts)
 
 
 def _read_blob(blob: HsBlob, kind: str):
@@ -379,10 +396,10 @@ def binary_layout(cover: BinaryCover):
     """The layout of a binary cover: (n, top tier, shape BP string per micro,
     portal field pair per micro), as ``parse_binary_blob`` reads it back. A
     portal field is 1 + the portal's null rank in the micro's shape, or 0."""
-    fields = [(0 if mt.left_portal is None else mt.left_portal + 1,
-               0 if mt.right_portal is None else mt.right_portal + 1)
-              for mt in cover.micro]
-    return cover.n, cover.top_tier, _micro_bps(cover.micro, bp_encode_binary), fields
+    bps = cover.shape_bps
+    first, second = cover.fields.T.tolist()
+    return (cover.n, cover.top_tier, [bps[k] for k in cover.shape_id.tolist()],
+            list(zip(first, second)))
 
 
 def hs_encode_binary(t: BinaryTree, B: int | None = None,
@@ -391,7 +408,8 @@ def hs_encode_binary(t: BinaryTree, B: int | None = None,
         raise ValueError("cannot encode the empty tree")
     if cover is None:
         cover = decompose_binary(t, B)
-    return _write_blob("binary", *binary_layout(cover), [])
+    return _write_blob("binary", cover.n, bp_encode_binary(cover.top_tier).to_array(),
+                       cover.shape_bps, cover.shape_id, cover.fields)
 
 
 def parse_binary_blob(blob: HsBlob):
@@ -493,20 +511,21 @@ def hs_encode_ordinal(t: OrdinalTree, B: int | None = None,
         cover = decompose_ordinal(t, B)
     fields = [mt.ext_portal or (0, 0) for mt in cover.micro]
     types = [mt.parent_edge_type for mt in cover.micro]
-    return _write_blob("ordinal", t.n, cover.top_tier,
-                       _micro_bps(cover.micro, bp_encode_ordinal), fields, types)
+    return _write_blob("ordinal", t.n, bp_encode_ordinal(cover.top_tier).to_array(),
+                       *_cover_shapes(cover), fields, types)
 
 
 def hs_decode_ordinal(blob: HsBlob) -> OrdinalTree:
     n, top, shapes, portals, types = _read_blob(blob, "ordinal")
     m = len(shapes)
 
-    cache: dict[str, OrdinalTree] = {}
-    local: list[OrdinalTree] = []
-    for s in shapes:
-        if s not in cache:
-            cache[s] = bp_decode_ordinal(BitBuf(s))
-        local.append(cache[s])
+    # the distinct shapes decode as one forest; each string must be one tree
+    distinct = list(dict.fromkeys(shapes))
+    forest = bp_decode_ordinal(BitBuf("".join(distinct)), forest=True)
+    if [sh.n for sh in forest] != [len(s) // 2 for s in distinct]:
+        raise MalformedStream("micro tree shape is not a single tree")
+    cache = dict(zip(distinct, forest))
+    local = [cache[s] for s in shapes]
 
     # expand micro trees bottom-up (reverse top-tier preorder); nodes are
     # nested python lists (the children lists), merged in place
@@ -599,6 +618,21 @@ def space_report(t: BinaryTree | OrdinalTree, B: int | None = None) -> dict[str,
     else:
         blob = hs_encode_ordinal(t, B)
     return dict(blob.parts)
+
+
+def cover_stats(cover: BinaryCover | OrdinalCover) -> dict:
+    """Cover statistics for reports: the number of micro trees, distinct
+    shapes, mean micro-tree size and the number of micro trees whose
+    codeword is written as an escape."""
+    bps, ids = _cover_shapes(cover)
+    code = _shape_code(bps, ids)
+    freq = code.freq
+    return {
+        "m": len(ids),
+        "distinctShapes": len(freq),
+        "meanMicroSize": sum(len(s) // 2 * f for s, f in freq.items()) / len(ids),
+        "escapes": sum(f for s, f in freq.items() if _escaped(code, s)),
+    }
 
 
 def write_hst(path: str, blob: HsBlob) -> None:

@@ -13,7 +13,7 @@ import math
 
 from .bits import BitBuf, MalformedStream
 from .cover import decompose_binary, default_block
-from .hypercodec import HsBlob, _write_blob, binary_layout
+from .hypercodec import HsBlob, binary_layout, hs_encode_binary
 from .navigate import NavIndex
 from .sources.models import lg_binom
 from .trees import BinaryTree
@@ -113,8 +113,9 @@ def rmq_build(values, B: int | None = None) -> RMQIndex:
             # slightly larger blocks than the code default: the query layer
             # pays per micro tree, and desk-scale inputs want fewer of them
             B = max(default_block(t.n), 6)
-        layout = binary_layout(decompose_binary(t, B))
-        return RMQIndex(NavIndex(layout), t.n, _write_blob("binary", *layout, []))
+        cover = decompose_binary(t, B)
+        return RMQIndex(NavIndex(binary_layout(cover)), t.n,
+                        hs_encode_binary(t, cover=cover))
     finally:
         if enabled:
             gc.enable()

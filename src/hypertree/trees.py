@@ -112,23 +112,32 @@ Forest = list  # list[OrdinalTree]
 # balanced-parenthesis codecs ('(' = 1, ')' = 0)
 
 def bp_encode_binary(t: BinaryTree, out: BitBuf | None = None) -> BitBuf:
-    """BP(t) = "(" BP(left) ")" BP(right); 2n bits."""
-    buf = out if out is not None else BitBuf()
-    left, right = t.left, t.right
-    # work item: node to open, or 0 marker meaning "emit close"
-    stack = [t.root] if t.n else []
-    while stack:
-        v = stack.pop()
-        if v == 0:
-            buf.append_bit(0)
-            continue
-        buf.append_bit(1)
-        if right[v]:
-            stack.append(right[v])
-        stack.append(0)
-        if left[v]:
-            stack.append(left[v])
-    return buf
+    """BP(t) = "(" BP(left) ")" BP(right); 2n bits.
+
+    Vectorized: node v opens at 2(v - 1) minus its left depth, the number of
+    left edges above it (the closes written before v are those of every
+    earlier node but the ancestors v is left of). The left depths are summed
+    up the parent links by pointer doubling.
+    """
+    n = t.n
+    left = np.asarray(t.left, dtype=np.int64)
+    ids = np.arange(n + 1, dtype=np.int64)
+    up = np.zeros(n + 1, dtype=np.int64)
+    up[np.asarray(t.right, dtype=np.int64)] = ids
+    up[left] = ids
+    depth = np.zeros(n + 1, dtype=np.int64)
+    depth[left] = 1
+    up[0] = depth[0] = 0
+    while up.any():
+        depth += depth[up]
+        up = up[up]
+    bits = np.zeros(2 * n, dtype=np.uint8)
+    bits[2 * ids[1:] - 2 - depth[1:]] = 1
+    buf = BitBuf.from_array(bits)
+    if out is None:
+        return buf
+    out.append_bits(buf.to_int(), len(buf))
+    return out
 
 
 def bp_decode_binary(buf: BitBuf) -> BinaryTree:
@@ -148,8 +157,7 @@ def bp_decode_binary(buf: BitBuf) -> BinaryTree:
     n = nbits // 2
     if not n:
         return BinaryTree(0, [0], [0])
-    bits = np.unpackbits(np.frombuffer(buf.to_bytes(), np.uint8), count=nbits)
-    bits = bits.astype(np.int64)
+    bits = buf.to_array().astype(np.int64)
     excess = np.cumsum(2 * bits - 1)
     if excess.min() < 0 or excess[-1]:
         raise MalformedStream("BP string not balanced")
@@ -186,42 +194,46 @@ def bp_encode_ordinal(forest: Forest | OrdinalTree, out: BitBuf | None = None) -
 
 
 def bp_decode_ordinal(buf: BitBuf, forest: bool = False):
-    """Inverse of bp_encode_ordinal. With forest=False expects one tree."""
+    """Inverse of bp_encode_ordinal. With forest=False expects one tree.
+    Rejects odd lengths, a prefix with more ')' than '(' ("not
+    prefix-valid"), unequal counts ("not balanced"), and with forest=False
+    any number of trees but one.
+
+    Vectorized like ``bp_decode_binary``: node v is the v-th open paren, at
+    level e (the excess before it). Its parent is the last open paren at
+    level e - 1 before it, found by a binary search over the open parens
+    sorted by (level, position). Trees split where the level returns to 0.
+    """
     nbits = len(buf)
     if nbits % 2:
         raise MalformedStream("BP string has odd length")
-    trees: list[OrdinalTree] = []
-    children: list[list[int]] = [[]]
-    stack: list[int] = []
-    cnt = 0
-    start = 1
-    for i in range(nbits):
-        if buf.get(i):
-            cnt += 1
-            children.append([])
-            if stack:
-                children[stack[-1]].append(cnt)
-            stack.append(cnt)
-        else:
-            if not stack:
-                raise MalformedStream("BP string not prefix-valid")
-            stack.pop()
-            if not stack:
-                # a root-level tree closed; split it off
-                ntree = cnt - start + 1
-                ch = [[]] + [
-                    [c - start + 1 for c in children[v]]
-                    for v in range(start, cnt + 1)
-                ]
-                trees.append(OrdinalTree(ntree, ch))
-                start = cnt + 1
-    if stack:
+    bits = buf.to_array().astype(np.int64)
+    excess = np.cumsum(2 * bits - 1)
+    if nbits and excess.min() < 0:
+        raise MalformedStream("BP string not prefix-valid")
+    if nbits and excess[-1]:
         raise MalformedStream("BP string not balanced")
-    if forest:
-        return trees
-    if len(trees) != 1:
-        raise MalformedStream(f"expected a single tree, got {len(trees)}")
-    return trees[0]
+    opens = np.flatnonzero(bits)
+    level = excess[opens] - 1
+    n = len(opens)
+    roots = np.flatnonzero(level == 0) + 1
+    if not forest and len(roots) != 1:
+        raise MalformedStream(f"expected a single tree, got {len(roots)}")
+    by_level = np.argsort(level, kind="stable")
+    keys = level[by_level] * nbits + opens[by_level]
+    parent = np.zeros(n + 1, np.int64)
+    inner = level > 0
+    parent[1:][inner] = by_level[
+        np.searchsorted(keys, (level[inner] - 1) * nbits + opens[inner]) - 1] + 1
+    # children in order, numbered within their tree
+    kids = np.argsort(parent[1:], kind="stable")[len(roots):] + 1
+    ends = np.cumsum(np.bincount(parent[kids], minlength=n + 1)).tolist()
+    tree_start = np.repeat(roots, np.diff(np.append(roots, n + 1)))
+    flat = (kids - tree_start[kids - 1] + 1).tolist()
+    children = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    trees = [OrdinalTree(e - s, [[]] + children[s:e])
+             for s, e in zip(roots.tolist(), roots[1:].tolist() + [n + 1])]
+    return trees if forest else trees[0]
 
 
 # ---------------------------------------------------------------------------

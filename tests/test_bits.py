@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hypertree.bits import (
@@ -60,3 +62,20 @@ def test_bitbuf_basics():
     assert r.read_bits(5) == 0b10111
     b2 = BitBuf.from_bytes(b.to_bytes(), 5)
     assert b2 == b
+
+
+def test_bitbuf_text_helpers_match_get():
+    rng = random.Random(5)
+    for length in range(21):
+        for _ in range(8):
+            digits = "".join(rng.choice("01") for _ in range(length))
+            parens = digits.replace("1", "(").replace("0", ")")
+            for text in (digits, parens):
+                buf = BitBuf(text)
+                assert len(buf) == length
+                assert [buf.get(i) for i in range(length)] == [int(c) for c in digits]
+                assert buf.to01() == digits
+                assert buf.to_paren() == parens
+    for bad in ["2", "10x", "(a)", " 1", "1_0", "0b1", "+1", "1 "]:
+        with pytest.raises(ValueError, match="bad bit character"):
+            BitBuf(bad)

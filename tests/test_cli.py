@@ -87,6 +87,25 @@ def test_analyze_figure_tree(tmp_path, capsys):
     assert row["n"] == 20
     assert abs(row["logProbBits"] - 28.74) < 0.01
     assert row["space"]["total"] > 0
+    # default B = 1 for 20 nodes: one single-node micro tree per node
+    assert row["m"] == 20 and row["distinctShapes"] == 1
+    assert row["meanMicroSize"] == 1.0 and row["escapes"] == 0
+    assert run("analyze", "--block", "3", str(src)) == 0
+    row = json.loads(capsys.readouterr().out.strip())
+    assert row["B"] == 3 and 1 <= row["distinctShapes"] <= row["m"]
+    assert row["meanMicroSize"] == 20 / row["m"]
+    assert 0 <= row["escapes"] <= row["m"]
+
+
+def test_analyze_rejects_source_of_other_kind(tmp_path, capsys):
+    src = tmp_path / "b.bp"
+    src.write_text("(())()\n")
+    assert run("analyze", "--source", "lrm", "--kind", "binary", str(src)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert run("analyze", "--source", "bst", "--kind", "ordinal", str(src)) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_analyze_ordinal_and_dump(tmp_path, capsys):

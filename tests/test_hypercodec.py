@@ -5,7 +5,7 @@ import pytest
 
 from conftest import flipped_bst_blob, random_bst
 from hypertree.bits import BitBuf, MalformedStream
-from hypertree.cover import decompose_binary
+from hypertree.cover import decompose_binary, decompose_ordinal
 from hypertree import hypercodec
 from hypertree.hypercodec import (
     HsBlob, binary_layout, build_shape_code, hs_decode_binary, hs_decode_ordinal,
@@ -13,7 +13,8 @@ from hypertree.hypercodec import (
     space_report, write_hst,
 )
 from hypertree.trees import (
-    bp_encode_binary, left_chain, ordinal_path, ordinal_star, single_node,
+    bp_encode_binary, bp_encode_ordinal, left_chain, ordinal_path, ordinal_star,
+    single_node,
 )
 from hypertree import sources as S
 
@@ -214,6 +215,28 @@ def test_parse_matches_layout_every_binary_source(rng):
     assert parse_binary_blob(hs_encode_binary(t, cover=cov)) == layout
 
 
+def test_cover_stats_match_layout():
+    # binary covers with and without escapes, then an ordinal cover
+    escapes = []
+    for t, B in ((S.sample(S.parse_source("binomial"), 1500, 3), 6),
+                 (S.sample(S.UniformSource(), 700, 2), None)):
+        cov = decompose_binary(t, B)
+        layout = binary_layout(cov)
+        shapes = layout[2]
+        stats = hypercodec.cover_stats(cov)
+        assert stats == {"m": len(shapes), "distinctShapes": len(set(shapes)),
+                         "meanMicroSize": t.n / len(shapes),
+                         "escapes": _escapes(layout)}
+        escapes.append(stats["escapes"])
+    assert escapes[0] > 0
+    cov = decompose_ordinal(S.sample(S.LrmSource(), 400, 4), 3)
+    stats = hypercodec.cover_stats(cov)
+    assert stats["m"] == len(cov.micro)
+    assert stats["meanMicroSize"] == sum(mt.size for mt in cov.micro) / len(cov.micro)
+    assert stats["distinctShapes"] == len(
+        {bp_encode_ordinal(mt.shape).to01() for mt in cov.micro})
+
+
 def test_parse_one_shape_codebook():
     t = left_chain(50)
     cov = decompose_binary(t, 1)
@@ -260,12 +283,46 @@ def test_two_portals_at_one_null_rejected():
     # built from it would answer every inorder rank wrongly
     from hypertree.navigate import build_nav
     t = S.sample(S.BstSource(), 3000, 5)
-    n, top, shapes, fields = binary_layout(decompose_binary(t))
+    cov = decompose_binary(t)
+    top = cov.top_tier
     i = next(i for i in range(top.n) if top.left[i + 1] and top.right[i + 1])
-    fields = list(fields)
-    fields[i] = (fields[i][0], fields[i][0])
-    blob = hypercodec._write_blob("binary", n, top, shapes, fields, [])
+    fields = cov.fields.copy()
+    fields[i, 1] = fields[i, 0]
+    blob = hypercodec._write_blob("binary", cov.n, bp_encode_binary(top).to_array(),
+                                  cov.shape_bps, cov.shape_id, fields)
     for decode in (build_nav, hs_decode_binary):
         with pytest.raises(MalformedStream) as info:
             decode(blob)
         assert info.value.part == "portals"
+
+
+# Binary blobs of every binary source at several block sizes, one large
+# default-B tree and three RMQ blobs. The hash pins the byte format: it moves
+# only with a deliberate format change.
+PINNED_SOURCES = [("bst", 300), ("uniform", 300), ("binomial:0.5", 300),
+                  ("almostpath:2", 300), ("fringebalanced:1", 301),
+                  ("avl-size", 30), ("avl-height", 6), ("llrb", 20),
+                  ("wb:2/7", 25), ("motzkin", 300),
+                  ("memoryless:0.25,0.25,0.25,0.25", 300)]
+PINNED_SHA256 = "31ef7b352fd1ccbe519c0240353bb8816df2e2b416f38111ed8df78dea937edd"
+
+
+def test_binary_format_pinned():
+    import hashlib
+    import json
+    from hypertree.rmq import rmq_build
+
+    blobs = []
+    for spec, size in PINNED_SOURCES:
+        t = S.sample(S.parse_source(spec), size, S.derive_seed("pin", spec, size, 0))
+        blobs += [hs_encode_binary(t, B) for B in (None, 1, 3, 6)]
+    blobs.append(hs_encode_binary(S.sample(S.UniformSource(), 30000, 11)))
+    rng = random.Random(8)
+    for n in (1000, 5000):
+        blobs.append(rmq_build(rng.sample(range(n), n)).blob)
+    blobs.append(rmq_build([rng.randint(0, 50) for _ in range(3000)]).blob)
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob.to_bytes())
+        h.update(json.dumps(blob.parts, sort_keys=True).encode())
+    assert h.hexdigest() == PINNED_SHA256

@@ -57,6 +57,33 @@ def test_bp_ordinal_examples():
     assert t == ordinal_star(4)
 
 
+def test_bp_ordinal_decode_every_short_string():
+    # every string of up to 12 bits: decoded iff it is a Dyck word (one tree,
+    # or any number of trees as a forest), and then it encodes back to itself
+    for length in range(13):
+        for code in range(2 ** length):
+            text = format(code, f"0{length}b") if length else ""
+            excess = 0
+            prefix_ok = True
+            returns = 0
+            for c in text:
+                excess += 1 if c == "1" else -1
+                prefix_ok = prefix_ok and excess >= 0
+                returns += excess == 0
+            dyck = prefix_ok and excess == 0
+            for forest in (False, True):
+                if not (dyck and (forest or returns == 1)):
+                    with pytest.raises(MalformedStream):
+                        bp_decode_ordinal(BitBuf(text), forest)
+                    continue
+                got = bp_decode_ordinal(BitBuf(text), forest)
+                trees = got if forest else [got]
+                assert len(trees) == returns
+                for t in trees:
+                    assert OrdinalTree.from_links(1, t.children) == t
+                assert bp_encode_ordinal(got).to01() == text
+
+
 def rand_forest(rng, max_trees=4, max_n=40):
     out = []
     for _ in range(rng.randint(1, max_trees)):
