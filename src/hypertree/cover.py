@@ -9,30 +9,54 @@ may share nodes, but only as the common root of every component containing
 them; a node at which a seal happened never travels upward, which is what
 keeps that invariant.
 
-The binary decomposition works on flat arrays, after Farzan & Munro's
-statement of the cover as arrays of micro-tree records. The greedy loop
-keeps one "merged into" pointer per component and a flat list of (node,
-side) portals; the pointers are resolved by numpy pointer jumping. The
-finalization is numpy throughout: micro trees are numbered by the preorder
-of their roots (the top tier's preorder), each gets a shape id from the
-bytes of its (size, local left children, local right children) row, per-shape
-tables are built once per distinct shape, and the portals are ordered with
-``lexsort``. ``BinaryCover`` keeps these arrays; its ``MicroTree`` list is a
-view built on first read, for validation, reports and tests. The ordinal
-decomposition builds ``MicroTree`` objects directly.
+The binary cover is arrays, after Farzan & Munro's statement of the cover as
+arrays of micro-tree records. The greedy loop keeps one "merged into"
+pointer per component and a flat list of (node, side) portals; the pointers
+are resolved by numpy pointer jumping, micro trees are numbered by the
+preorder of their roots (the top tier's preorder), and each gets a shape id
+from the bytes of its (size, local left children, local right children) row.
+
+A binary layout is five names: ``n``, ``top_tier``, ``shape_bps`` (the
+distinct shapes' BP strings), ``shape_id`` (one per micro tree) and
+``fields`` (per micro tree, 1 + the null rank of its first and second
+portal in preorder, 0 for none). ``BinaryCover`` has them, and so does what
+``hypercodec.parse_binary_blob`` reads from a blob. ``ShapeTables`` holds
+the per-shape tables, built once per distinct shape; ``BinaryPlacement``
+computes from a layout where every micro tree and portal sits in the tree,
+which both the decoder and the navigation index read. ``BinaryCover.micro``
+is a list of ``MicroTree`` views, built on first read, for validation,
+reports and tests. The ordinal decomposition builds ``MicroTree`` objects
+directly.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
 
 import numpy as np
 
-from .trees import BinaryTree, OrdinalTree, annotate, bp_encode_binary
+from .bits import BitBuf
+from .trees import BinaryTree, OrdinalTree, annotate, bp_decode_binary, bp_encode_binary
 
 # parent edge types of ordinal micro trees, in the order (i)..(v)
 EDGE_NEW_LEFT, EDGE_CONT_LEFT, EDGE_NEW_RIGHT, EDGE_CONT_RIGHT, EDGE_EXTERNAL = range(5)
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector and restore its state after.
+    Code that allocates millions of small lists and tuples otherwise spends
+    a third or more of its time in collections."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def default_block(n: int) -> int:
@@ -95,8 +119,9 @@ class CoverStats:
 
 
 class BinaryCover:
-    """A binary cover as arrays. Micro trees are numbered in top-tier
-    preorder, which is the preorder of their roots in the tree.
+    """A binary cover as arrays, and a binary layout (see the module
+    docstring). Micro trees are numbered in top-tier preorder, which is the
+    preorder of their roots in the tree.
 
     - ``node_micro[v]``: the micro tree of node v (entry 0 unused);
     - ``members[starts[i]:starts[i + 1]]``: the nodes of micro i in local
@@ -104,20 +129,18 @@ class BinaryCover:
     - ``shape_id[i]`` indexes ``shapes`` (the distinct local shapes) and
       ``shape_bps`` (their BP strings);
     - ``fields[i]``: the first and second portal of micro i in preorder, each
-      1 + its null rank in the shape (0 for none); ``portal_node`` and
-      ``portal_side`` give the local node and side (0 left, 1 right) of the
-      null. The top tier's left child of micro i hangs from the first portal
-      and its right child from the second.
+      1 + its null rank in the shape (0 for none). The top tier's left child
+      of micro i hangs from the first portal and its right child from the
+      second.
 
     ``micro`` is a list of ``MicroTree`` views, built on first read.
     """
 
     __slots__ = ("top_tier", "B", "n", "node_micro", "members", "starts",
-                 "shape_id", "shapes", "shape_bps", "fields", "portal_node",
-                 "portal_side", "_micro")
+                 "shape_id", "shapes", "shape_bps", "fields", "_micro")
 
     def __init__(self, top_tier, B, n, node_micro, members, starts, shape_id,
-                 shapes, shape_bps, fields, portal_node, portal_side):
+                 shapes, shape_bps, fields):
         self.top_tier: BinaryTree = top_tier
         self.B = B
         self.n = n
@@ -128,22 +151,23 @@ class BinaryCover:
         self.shapes: list[BinaryTree] = shapes
         self.shape_bps: list[str] = shape_bps
         self.fields = fields
-        self.portal_node = portal_node
-        self.portal_side = portal_side
         self._micro: list[MicroTree] | None = None
 
     @property
     def micro(self) -> list[MicroTree]:
         if self._micro is None:
-            self._micro = self._micro_view()
+            with _gc_paused():
+                self._micro = self._micro_view()
         return self._micro
 
     def _micro_view(self) -> list[MicroTree]:
         members = self.members.tolist()
         starts = self.starts.tolist()
         fields = self.fields.tolist()
-        pnode = self.portal_node.tolist()
-        pside = self.portal_side.tolist()
+        tables = ShapeTables(self.shape_bps)
+        nulls = self.shape_id[:, None], self.fields - 1   # read where set
+        pnode = tables.null_node[nulls].tolist()
+        pside = tables.null_side[nulls].tolist()
         children = (self.top_tier.left, self.top_tier.right)
         out = []
         for i, sid in enumerate(self.shape_id.tolist()):
@@ -159,6 +183,152 @@ class BinaryCover:
                     mt.right_slot, mt.right_portal, mt.right_child = slot, rank, child
             out.append(mt)
         return out
+
+
+class ShapeTables:
+    """Per-shape tables of distinct binary shapes, given by their balanced
+    BP strings and built once: each is a (k, w + 1) array over local
+    preorder ids 1..mu, 0 in column 0 and past a shape's mu (w is the
+    largest mu).
+
+    - ``left``, ``right``, ``parent``, ``size``: children, parent and
+      subtree size;
+    - ``inorder`` and its inverse ``local_of_inorder``;
+    - ``null_node``, ``null_side``, ``null_thr`` over null ranks 0..mu (the
+      nulls in left-to-right order): the node and side (0 left, 1 right) of
+      the null, and the first local preorder id after it.
+    """
+
+    __slots__ = ("mu", "left", "right", "parent", "size", "inorder",
+                 "local_of_inorder", "null_node", "null_side", "null_thr")
+
+    def __init__(self, bps: list[str]):
+        # The shapes in a row decode as one tree, in which each one's root
+        # is the right child of the last node on the previous one's right
+        # spine: a node keeps its links inside its shape, its subtree up to
+        # the shape's end, and its inorder rank less the shapes before.
+        whole = bp_decode_binary(BitBuf("".join(bps)))
+        k = len(bps)
+        self.mu = mu = np.array([len(s) // 2 for s in bps], dtype=np.int64)
+        W = int(mu.max()) + 1
+        shape = np.repeat(np.arange(k), mu)
+        end = np.cumsum(mu)[shape]
+        off = end - mu[shape]
+        g = np.arange(1, whole.n + 1)
+        x = g - off
+        ann = annotate(whole)
+        left, right, size, inorder = (np.zeros((k, W), dtype=np.int64) for _ in range(4))
+        lg, rg = np.asarray(whole.left[1:]), np.asarray(whole.right[1:])
+        left[shape, x] = np.where(lg != 0, lg - off, 0)
+        right[shape, x] = np.where((rg != 0) & (rg <= end), rg - off, 0)
+        size[shape, x] = np.minimum(ann.subtree_size[1:], end + 1 - g)
+        inorder[shape, x] = np.asarray(ann.inorder_rank[1:]) - off
+        rows = np.arange(k)[:, None]
+        ids = np.arange(W)
+        parent = np.zeros((k, W), dtype=np.int64)
+        parent[rows, left] = ids
+        parent[rows, right] = ids
+        parent[:, 0] = 0
+        local_of_inorder = np.zeros((k, W), dtype=np.int64)
+        local_of_inorder[rows, inorder] = ids
+        local_of_inorder[:, 0] = 0
+        null_node = np.zeros((k, W), dtype=np.int64)
+        null_side = np.zeros((k, W), dtype=np.int64)
+        null_thr = np.zeros((k, W), dtype=np.int64)
+        for side, kids in ((0, left), (1, right)):
+            s, x = np.nonzero((size > 0) & (kids == 0))
+            rank = inorder[s, x] - 1 + side
+            null_node[s, rank] = x
+            null_side[s, rank] = side
+            # past a left null comes x + 1, past a right one x's subtree
+            null_thr[s, rank] = x + (size[s, x] if side else 1)
+        self.left, self.right, self.parent, self.size = left, right, parent, size
+        self.inorder, self.local_of_inorder = inorder, local_of_inorder
+        self.null_node, self.null_side, self.null_thr = null_node, null_side, null_thr
+
+
+class BinaryPlacement:
+    """Where the micro trees of a binary layout sit in the tree it encodes.
+    The layout must be consistent, as ``hypercodec.parse_binary_blob`` and
+    ``decompose_binary`` leave it: each field names a null of its shape,
+    matches a top-tier child, and a lone portal is the first.
+
+    Per micro tree i (numbered in top-tier preorder):
+
+    - ``sid``, ``mu``: shape id and size;
+    - ``hang``: the size of the subtree its root heads in the tree;
+    - ``root_pre``, ``in_start``: the global preorder id of its root and the
+      smallest global inorder rank in that subtree;
+    - ``up``, ``depth``: its parent and depth in the top tier (``up[0]`` is
+      0).
+
+    Per portal slot k (0 first, 1 second in preorder), as (2, m) arrays:
+    ``rank`` (null rank), ``thr`` (the first local preorder id after the
+    null), ``owner`` and ``side`` (the null's node and side), ``child`` (the
+    micro tree hanging there) and ``sub`` (its ``hang``). A missing portal
+    reads as one at the last null, rank mu and ``thr`` mu + 1, with nothing
+    hanging from it (``sub`` 0, ``has`` false).
+
+    Global ids of a micro tree's local nodes run in order, shifted past the
+    subtrees of the portals before them: local preorder id x is
+    ``root_pre + x - 1`` plus ``sub`` of each slot whose ``thr`` is at most
+    x, and local inorder rank j likewise with ``rank < j``. A child's root
+    follows the local nodes before its null and the subtree of an earlier
+    slot; these offsets are summed down the top tier by pointer jumping.
+    """
+
+    __slots__ = ("tables", "sid", "mu", "hang", "root_pre", "in_start", "up",
+                 "depth", "has", "rank", "thr", "owner", "side", "child", "sub")
+
+    def __init__(self, layout):
+        self.tables = tables = ShapeTables(layout.shape_bps)
+        self.sid = sid = np.asarray(layout.shape_id, dtype=np.int64)
+        self.mu = mu = tables.mu[sid]
+        m = len(sid)
+        top = layout.top_tier
+        child = np.array([top.left[1:], top.right[1:]], dtype=np.int64) - 1
+        self.has = has = child >= 0
+        self.child = child
+        self.rank = rank = np.where(has, np.asarray(layout.fields).T - 1, mu)
+        self.thr = thr = tables.null_thr[sid, rank]
+        self.owner = tables.null_node[sid, rank]
+        self.side = tables.null_side[sid, rank]
+        # a subtree ends at its last node in preorder: follow the last child
+        ids = np.arange(m)
+        last = np.where(has[1], child[1], np.where(has[0], child[0], ids))
+        while True:
+            nxt = last[last]
+            if (nxt == last).all():
+                break
+            last = nxt
+        ends = np.concatenate(([0], np.cumsum(mu)))
+        self.hang = hang = ends[last + 1] - ends[:-1]
+        self.sub = sub = np.where(has, hang[child], 0)
+        # offsets of each child from its parent, summed down the top tier
+        k, i = np.nonzero(has)
+        c = child[k, i]
+        up = np.zeros(m, dtype=np.int64)
+        up[c] = i
+        acc = np.zeros((3, m), dtype=np.int64)
+        acc[0, c] = thr[k, i] - 1 + k * sub[0, i]
+        acc[1, c] = rank[k, i] + k * sub[0, i]
+        acc[2, c] = 1
+        jump = up.copy()
+        while jump.any():
+            acc += acc[:, jump]
+            jump = jump[jump]
+        self.root_pre = acc[0] + 1
+        self.in_start = acc[1] + 1
+        self.depth = acc[2]
+        self.up = up
+
+    def global_id(self, i, x):
+        """Global preorder ids of local preorder ids ``x`` of micro trees
+        ``i`` (arrays)."""
+        g = self.root_pre[i] + x - 1
+        for k in (0, 1):
+            g = g + np.where(self.thr[k][i] <= x, self.sub[k][i], 0)
+        return g
 
 
 class OrdinalCover:
@@ -297,33 +467,23 @@ def _finalize_binary(t: BinaryTree, B: int, comp_of, into, pnode, pside) -> Bina
     _, first, shape_id = np.unique(keys, return_index=True, return_inverse=True)
     shape_id = shape_id.reshape(-1)
 
-    # per distinct shape: the tree, its BP, inorder ranks and left sizes
+    # per distinct shape: the tree and its BP
     shapes: list[BinaryTree] = []
-    shape_bps: list[str] = []
-    inorder = np.zeros((len(first), w + 1), dtype=np.int64)
-    left_size = np.zeros((len(first), w + 1), dtype=np.int64)
-    for k, i in enumerate(first.tolist()):
+    for i in first.tolist():
         mu = int(sizes[i])
-        sh = BinaryTree(mu, [0] + rows[i, 1:mu + 1].tolist(),
-                        [0] + rows[i, w + 1:w + mu + 1].tolist())
-        ann = annotate(sh)
-        shapes.append(sh)
-        shape_bps.append(bp_encode_binary(sh).to_paren())
-        inorder[k, :mu + 1] = ann.inorder_rank
-        left_size[k, :mu + 1] = [ann.subtree_size[x] for x in sh.left]
+        shapes.append(BinaryTree(mu, [0] + rows[i, 1:mu + 1].tolist(),
+                                 [0] + rows[i, w + 1:w + mu + 1].tolist()))
+    shape_bps = [bp_encode_binary(sh).to_paren() for sh in shapes]
 
-    # portals in (owner, preorder threshold, side) order; a micro tree's
-    # first portal holds its top-tier left child, the second its right
+    # portals in (owner, null rank) order, which is their preorder; a micro
+    # tree's first portal holds its top-tier left child, the second its right
     pn = np.asarray(pnode, dtype=np.int64)
     side = np.asarray(pside, dtype=np.int64)
     owner = node_micro[pn]
-    lv = loc_of[pn]
-    sid = shape_id[owner]
-    thresh = np.where(side == 0, lv + 1, lv + left_size[sid, lv] + 1)
-    rank = np.where(side == 0, inorder[sid, lv] - 1, inorder[sid, lv])
+    rank = ShapeTables(shape_bps).inorder[shape_id[owner], loc_of[pn]] - 1 + side
     child = node_micro[np.where(side == 0, left[pn], right[pn])]
-    o = np.lexsort((side, thresh, owner))
-    owner, lv, side, rank, child = owner[o], lv[o], side[o], rank[o], child[o]
+    o = np.lexsort((rank, owner))
+    owner, rank, child = owner[o], rank[o], child[o]
     if (owner[2:] == owner[:-2]).any():
         raise AssertionError("binary micro tree with >2 portals")
     counts = np.bincount(child, minlength=m)
@@ -332,16 +492,12 @@ def _finalize_binary(t: BinaryTree, B: int, comp_of, into, pnode, pside) -> Bina
     k = np.zeros(len(owner), dtype=np.int64)
     k[1:] = owner[1:] == owner[:-1]
     fields = np.zeros((m, 2), dtype=np.int64)
-    portal_node = np.zeros((m, 2), dtype=np.int64)
-    portal_side = np.zeros((m, 2), dtype=np.int64)
     fields[owner, k] = rank + 1
-    portal_node[owner, k] = lv
-    portal_side[owner, k] = side
     kids = np.zeros((2, m + 1), dtype=np.int64)
     kids[k, owner + 1] = child + 1
     top = BinaryTree(m, *kids.tolist())
     return BinaryCover(top, B, n, node_micro, members, starts, shape_id,
-                       shapes, shape_bps, fields, portal_node, portal_side)
+                       shapes, shape_bps, fields)
 
 
 # ---------------------------------------------------------------------------

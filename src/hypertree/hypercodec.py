@@ -23,11 +23,18 @@ codeword per micro tree, and the portal fields and edge types as fixed-width
 blocks. The reader reads by the word: canonical codewords through a
 first-code/limit table over a peeked window, the top tier's BP with numpy,
 and the portal fields and edge types as fixed-width blocks. After the last
-field only the zero byte padding may remain. A binary blob's contents are
-the layout tuple (n, top tier, shape BP per micro, portal field pair per micro,
-each field 1 + the portal's null rank or 0 for none): ``binary_layout``
-builds it from a cover, ``parse_binary_blob`` reads it back from the bits,
-and the navigation index is built from it.
+field only the zero byte padding may remain.
+
+A blob holds the same five names as a cover: n, the top tier, the distinct
+shapes' BP strings (the codebook, in canonical order), one shape id per
+micro tree, and the portal fields (see ``cover.BinaryCover``). The writer
+takes them, and the reader returns them; an escaped codeword must name a
+codebook shape. The reader also makes every check that a binary layout
+describes one tree, once and vectorized: the micro sizes add up to n, and
+each portal field matches a top-tier child, names a null of its shape, and
+the first lies below the second. ``hs_decode_binary`` then gathers the
+global ids of ``cover.BinaryPlacement``, which the navigation index reads
+too.
 """
 
 from __future__ import annotations
@@ -35,17 +42,18 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
+from collections import namedtuple
 
 import numpy as np
 
 from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode
 from .cover import (
     EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_EXTERNAL, EDGE_NEW_LEFT, EDGE_NEW_RIGHT,
-    BinaryCover, OrdinalCover, decompose_binary, decompose_ordinal,
+    BinaryCover, BinaryPlacement, OrdinalCover, decompose_binary, decompose_ordinal,
 )
 from .trees import (
-    BinaryTree, OrdinalTree, annotate,
-    bp_decode_binary, bp_decode_ordinal, bp_encode_binary, bp_encode_ordinal,
+    BinaryTree, OrdinalTree, bp_decode_binary, bp_decode_ordinal, bp_encode_binary,
+    bp_encode_ordinal,
 )
 
 MAGIC = b"HST1"
@@ -70,6 +78,7 @@ class ShapeCode:
         ``max_len`` bits, and the offset from a codeword to its symbol's
         index in ``order``."""
         self.order = order
+        self.index = {s: i for i, s in enumerate(order)}
         self.code_len = lengths
         self.max_len = max(lengths.values())
         self.codewords: dict[str, tuple[int, int]] = {}
@@ -99,8 +108,9 @@ class ShapeCode:
         f = self.freq if freq is None else freq
         return sum(self.code_len[s] * c for s, c in f.items())
 
-    def read_codewords(self, cur: BitCursor, m: int) -> list[str]:
-        """Read ``m`` restricted codewords (see ``restrict``).
+    def read_codewords(self, cur: BitCursor, m: int) -> list[int]:
+        """Read ``m`` restricted codewords (see ``restrict``) as indices
+        into ``order``; an escape must spell a shape of ``order``.
 
         The cursor stands at the start of a window of ``span`` bits, of
         which the low ``have`` are unread; each codeword is decoded from its
@@ -113,9 +123,9 @@ class ShapeCode:
         width = 1 + L
         span = max(width, 57)
         wmask, cmask = (1 << width) - 1, (1 << L) - 1
-        limits, lens, offsets, order = self._limits, self._lens, self._offsets, self.order
+        limits, lens, offsets = self._limits, self._lens, self._offsets
         nlim = len(limits)
-        shapes = []
+        ids = []
         word, have = cur.peek(span), span
         for _ in range(m):
             if have < width:
@@ -124,7 +134,12 @@ class ShapeCode:
             win = (word >> (have - width)) & wmask
             if not win >> L:  # escape
                 cur.skip(span - have + 1)
-                shapes.append(_read_sized_bp(cur))
+                at = cur.pos
+                sid = self.index.get(_read_sized_bp(cur))
+                if sid is None:
+                    raise MalformedStream("escaped shape not in the codebook",
+                                          bit_offset=at)
+                ids.append(sid)
                 word, have = cur.peek(span), span
                 continue
             win &= cmask
@@ -132,10 +147,10 @@ class ShapeCode:
             if k == nlim:
                 raise MalformedStream("unknown Huffman codeword",
                                       bit_offset=cur.pos + span - have)
-            shapes.append(order[offsets[k] + (win >> (L - lens[k]))])
+            ids.append(offsets[k] + (win >> (L - lens[k])))
             have -= 1 + lens[k]
         cur.skip(span - have)
-        return shapes
+        return ids
 
     @classmethod
     def from_lengths(cls, shapes_and_lengths: list[tuple[str, int]]) -> "ShapeCode":
@@ -276,8 +291,16 @@ def _read_codebook(cur: BitCursor) -> ShapeCode:
     if k < 1:
         raise MalformedStream("empty codebook")
     # (BP string, codeword length) per shape, in canonical order
-    return ShapeCode.from_lengths(
+    code = ShapeCode.from_lengths(
         [(_read_sized_bp(cur), gamma_decode(cur) - 1) for _ in range(k)])
+    # each shape is balanced: the excess of all of them in a row never drops
+    # below 0 and is 0 where each ends
+    bits = BitBuf("".join(code.order)).to_array().astype(np.int64)
+    excess = np.cumsum(2 * bits - 1)
+    ends = np.cumsum([len(s) for s in code.order]) - 1
+    if len(bits) and (excess.min() < 0 or excess[ends[ends >= 0]].any()):
+        raise MalformedStream("codebook shape not balanced")
+    return code
 
 
 def _portal_width(code: ShapeCode) -> int:
@@ -343,9 +366,10 @@ def _write_blob(kind: str, n: int, top_bits: np.ndarray, shape_bps: list[str],
 
 def _read_blob(blob: HsBlob, kind: str):
     """Read every part of a blob of ``kind`` and check that only the byte
-    padding follows. Returns (n, top tier, shape BP per micro, portal field
-    pair per micro, edge type per micro; no edge types for binary). A
-    ``MalformedStream`` from here names the part and the payload bit."""
+    padding follows. Returns (n, top tier, shape BP strings, shape id per
+    micro, portal field pairs as an (m, 2) array, edge type per micro; no
+    edge types for binary). A ``MalformedStream`` from here names the part
+    and the payload bit."""
     if blob.kind != kind:
         raise MalformedStream(f"expected a {kind} blob, got {blob.kind}")
     cur = BitCursor(blob.bits)
@@ -363,17 +387,17 @@ def _read_blob(blob: HsBlob, kind: str):
         part = "codebook"
         code = _read_codebook(cur)
         part = "codewords"
-        shapes = code.read_codewords(cur, m)
-        if not all(shapes):
+        shape_id = np.asarray(code.read_codewords(cur, m), dtype=np.int64)
+        mu = np.array([len(s) // 2 for s in code.order], dtype=np.int64)[shape_id]
+        if mu.min() < 1:
             raise MalformedStream("empty micro tree")
         # binary micro trees partition the nodes (ordinal ones share roots)
-        if kind == "binary" and sum(map(len, shapes)) != 2 * n:
+        if kind == "binary" and mu.sum() != n:
             raise MalformedStream("micro tree sizes do not add up to the header size")
         part = "portals"
-        first, second = cur.read_block(2 * m, _portal_width(code)).reshape(m, 2).T
-        if kind == "binary" and ((first == second) & (first != 0)).any():
-            raise MalformedStream("two portals at one null")
-        fields = list(zip(first.tolist(), second.tolist()))
+        fields = cur.read_block(2 * m, _portal_width(code)).reshape(m, 2)
+        if kind == "binary":
+            _check_portals(top, mu, fields)
         types: list[int] = []
         if kind == "ordinal":
             part = "edge types"
@@ -386,20 +410,29 @@ def _read_blob(blob: HsBlob, kind: str):
         if exc.bit_offset is None:
             exc.bit_offset = cur.pos
         raise
-    return n, top, shapes, fields, types
+    return n, top, code.order, shape_id, fields, types
+
+
+def _check_portals(top: BinaryTree, mu: np.ndarray, fields: np.ndarray) -> None:
+    """Check that binary portal fields describe one tree: a field is set
+    exactly where the top tier has that child, names one of the mu + 1 nulls
+    of its shape, and a second portal lies after the first (a lone portal
+    is the first). A layout that passes decodes to a tree of the header's
+    size."""
+    kids = np.array([top.left[1:], top.right[1:]]).T
+    if ((fields != 0) != (kids != 0)).any():
+        raise MalformedStream("portal fields do not match the top tier")
+    if (fields > mu[:, None] + 1).any():
+        raise MalformedStream("portal field past the last null")
+    first, second = fields.T
+    if ((second != 0) & ((first == 0) | (first >= second))).any():
+        raise MalformedStream("portal fields out of order")
 
 
 # ---------------------------------------------------------------------------
 # binary encode / decode
 
-def binary_layout(cover: BinaryCover):
-    """The layout of a binary cover: (n, top tier, shape BP string per micro,
-    portal field pair per micro), as ``parse_binary_blob`` reads it back. A
-    portal field is 1 + the portal's null rank in the micro's shape, or 0."""
-    bps = cover.shape_bps
-    first, second = cover.fields.T.tolist()
-    return (cover.n, cover.top_tier, [bps[k] for k in cover.shape_id.tolist()],
-            list(zip(first, second)))
+BinaryLayout = namedtuple("BinaryLayout", "n top_tier shape_bps shape_id fields")
 
 
 def hs_encode_binary(t: BinaryTree, B: int | None = None,
@@ -412,92 +445,30 @@ def hs_encode_binary(t: BinaryTree, B: int | None = None,
                        cover.shape_bps, cover.shape_id, cover.fields)
 
 
-def parse_binary_blob(blob: HsBlob):
-    """Parse the parts of a binary blob without materializing the tree:
-    returns the layout tuple of ``binary_layout``."""
-    return _read_blob(blob, "binary")[:4]
-
-
-def _null_rank_slots(shape: BinaryTree, inr: list[int]) -> dict[int, tuple[int, int]]:
-    """Map 0-based null rank -> (local node, side), given the inorder ranks."""
-    out: dict[int, tuple[int, int]] = {}
-    for v in range(1, shape.n + 1):
-        if not shape.left[v]:
-            out[inr[v] - 1] = (v, 0)
-        if not shape.right[v]:
-            out[inr[v]] = (v, 1)
-    return out
+def parse_binary_blob(blob: HsBlob) -> BinaryLayout:
+    """Parse and check the parts of a binary blob without materializing
+    the tree: the layout that ``hs_encode_binary`` wrote from the cover."""
+    return BinaryLayout(*_read_blob(blob, "binary")[:5])
 
 
 def hs_decode_binary(blob: HsBlob) -> BinaryTree:
-    n, top, shapes, fields = parse_binary_blob(blob)
-
-    # per-shape decoded structures and null-rank maps, cached by BP string
-    cache: dict[str, tuple[BinaryTree, dict[int, tuple[int, int]]]] = {}
-    local: list[BinaryTree] = []
-    nulls: list[dict[int, tuple[int, int]]] = []
-    for s in shapes:
-        if s not in cache:
-            sh = bp_decode_binary(BitBuf(s))
-            cache[s] = (sh, _null_rank_slots(sh, annotate(sh).inorder_rank))
-        sh, nr = cache[s]
-        local.append(sh)
-        nulls.append(nr)
-
-    # portal slots per micro: (left child micro, slot), (right child micro, slot)
-    att: list[dict[tuple[int, int], int]] = []
-    for i in range(top.n):
-        lp, rp = fields[i]
-        slots: dict[tuple[int, int], int] = {}
-        lc, rc = top.left[i + 1], top.right[i + 1]
-        if lp:
-            if lc == 0 or lp - 1 not in nulls[i]:
-                raise MalformedStream("portal without matching child")
-            slots[nulls[i][lp - 1]] = lc - 1
-        elif lc:
-            raise MalformedStream("top-tier child without portal")
-        if rp:
-            if rc == 0 or rp - 1 not in nulls[i]:
-                raise MalformedStream("portal without matching child")
-            slots[nulls[i][rp - 1]] = rc - 1
-        elif rc:
-            raise MalformedStream("top-tier child without portal")
-        att.append(slots)
-
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    g = 0
-    # task: (micro, local node, parent global id, side)
-    stack: list[tuple[int, int, int, int]] = [(0, 1, 0, 0)]
-    while stack:
-        mi, x, parent, side = stack.pop()
-        g += 1
-        if g > n:
-            raise MalformedStream("decoded tree larger than header size")
-        if parent:
-            if side == 0:
-                left[parent] = g
-            else:
-                right[parent] = g
-        sh = local[mi]
-        slots = att[mi]
-        rx = sh.right[x]
-        if rx:
-            stack.append((mi, rx, g, 1))
-        else:
-            child = slots.get((x, 1))
-            if child is not None:
-                stack.append((child, 1, g, 1))
-        lx = sh.left[x]
-        if lx:
-            stack.append((mi, lx, g, 0))
-        else:
-            child = slots.get((x, 0))
-            if child is not None:
-                stack.append((child, 1, g, 0))
-    if g != n:
-        raise MalformedStream("decoded tree smaller than header size")
-    return BinaryTree(n, left, right)
+    """Gather each node's children by global id: a local child's id
+    follows from the placement, the left one is always the next id, and a
+    portal's child is the root of the micro tree hanging there."""
+    layout = parse_binary_blob(blob)
+    p = BinaryPlacement(layout)
+    n = layout.n
+    micro = np.repeat(np.arange(len(p.mu)), p.mu)
+    x = np.arange(1, n + 1) - (np.cumsum(p.mu) - p.mu)[micro]
+    s = p.sid[micro]
+    g = p.global_id(micro, x)
+    rx = p.tables.right[s, x]
+    kids = np.zeros((2, n + 1), dtype=np.int64)
+    kids[0, g] = np.where(p.tables.left[s, x] != 0, g + 1, 0)
+    kids[1, g] = np.where(rx != 0, p.global_id(micro, rx), 0)
+    k, i = np.nonzero(p.has)
+    kids[p.side[k, i], p.global_id(i, p.owner[k, i])] = p.root_pre[p.child[k, i]]
+    return BinaryTree(n, *kids.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +487,15 @@ def hs_encode_ordinal(t: OrdinalTree, B: int | None = None,
 
 
 def hs_decode_ordinal(blob: HsBlob) -> OrdinalTree:
-    n, top, shapes, portals, types = _read_blob(blob, "ordinal")
-    m = len(shapes)
+    n, top, shape_bps, shape_id, fields, types = _read_blob(blob, "ordinal")
+    m = len(shape_id)
+    portals = fields.tolist()
 
-    # the distinct shapes decode as one forest; each string must be one tree
-    distinct = list(dict.fromkeys(shapes))
-    forest = bp_decode_ordinal(BitBuf("".join(distinct)), forest=True)
-    if [sh.n for sh in forest] != [len(s) // 2 for s in distinct]:
+    # the codebook's shapes decode as one forest; each string must be one tree
+    forest = bp_decode_ordinal(BitBuf("".join(shape_bps)), forest=True)
+    if [sh.n for sh in forest] != [len(s) // 2 for s in shape_bps]:
         raise MalformedStream("micro tree shape is not a single tree")
-    cache = dict(zip(distinct, forest))
-    local = [cache[s] for s in shapes]
+    local = [forest[k] for k in shape_id.tolist()]
 
     # expand micro trees bottom-up (reverse top-tier preorder); nodes are
     # nested python lists (the children lists), merged in place

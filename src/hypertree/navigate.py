@@ -2,10 +2,12 @@
 top-tier structures answering LCA, inorder rank/select, parent, and subtree
 size about the encoded tree without materializing it per query.
 
-The index is built from the layout tuple (n, top tier, shape BP per micro,
-portal fields per micro): ``build_nav`` reads it from a blob with
-``parse_binary_blob``, and ``rmq_build`` takes it from the cover with
-``binary_layout``.
+The index is built from a binary layout (see ``cover``): ``NavIndex(cover)``
+from a cover, and ``build_nav(blob)``, which is
+``NavIndex(parse_binary_blob(blob))``, from a blob. It reads the layout
+through ``cover.BinaryPlacement``, the placement the decoder reads too, and
+keeps its arrays twice: as numpy arrays for the batch kernels, and as lists
+for the scalar queries, which read Python ints faster than numpy scalars.
 
 Complexities: LCA, parent, subtree size, and inorder rank are O(1) once the
 owning micro tree is known; locating it (and inorder select) is a binary
@@ -19,208 +21,104 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .bits import BitBuf, MalformedStream
-from .hypercodec import HsBlob, _null_rank_slots, parse_binary_blob
-from .trees import BinaryTree, annotate, bp_decode_binary
+from .cover import BinaryPlacement, ShapeTables
+from .hypercodec import HsBlob, parse_binary_blob
 
 
-class ShapeTable:
-    """Per-shape lookup tables: parent, subtree sizes, inorder maps, null
-    slots, and the full pairwise LCA table."""
+def _shape_lca(tables: ShapeTables) -> np.ndarray:
+    """lca[s, u, v]: the LCA of local nodes u and v of shape s. In preorder
+    the ancestors of v are the w <= v with v < w + size[w], so the smaller
+    of u and v, walked up until its subtree holds the larger, is the LCA."""
+    k, W = tables.size.shape
+    rows = np.arange(k)[:, None, None]
+    ids = np.arange(W)
+    a = np.minimum.outer(ids, ids) + np.zeros_like(rows)
+    b = np.maximum.outer(ids, ids)
+    # padding and column 0 stop at once: their "subtree" holds every id
+    size = np.where(tables.size > 0, tables.size, W)
+    while True:
+        out = b >= a + size[rows, a]
+        if not out.any():
+            return a
+        a = np.where(out, tables.parent[rows, a], a)
 
-    __slots__ = ("tree", "mu", "parent", "size", "inorder_of", "local_of_inorder",
-                 "left_size", "lca", "null_slot")
 
-    def __init__(self, bp: str):
-        t = bp_decode_binary(BitBuf(bp))
-        self.tree = t
-        mu = t.n
-        self.mu = mu
-        ann = annotate(t)
-        self.size = ann.subtree_size
-        self.inorder_of = ann.inorder_rank
-        self.local_of_inorder = [0] * (mu + 1)
-        for v in range(1, mu + 1):
-            self.local_of_inorder[ann.inorder_rank[v]] = v
-        self.parent = [0] * (mu + 1)
-        self.left_size = [0] * (mu + 1)
-        for v in range(1, mu + 1):
-            if t.left[v]:
-                self.parent[t.left[v]] = v
-            if t.right[v]:
-                self.parent[t.right[v]] = v
-            self.left_size[v] = self.size[t.left[v]] if t.left[v] else 0
-        self.null_slot = _null_rank_slots(t, ann.inorder_rank)
-        # pairwise LCA via ancestor intervals: w is an ancestor of v iff
-        # w <= v < w + size[w] in local preorder
-        self.lca = lca = [0] * (mu * mu)
-        for u in range(1, mu + 1):
-            anc_u = []
-            x = u
-            while x:
-                anc_u.append(x)
-                x = self.parent[x]
-            aset = set(anc_u)
-            for v in range(1, mu + 1):
-                x = v
-                while x and x not in aset:
-                    x = self.parent[x]
-                lca[(u - 1) * mu + (v - 1)] = x
-    # tables agree with brute force by construction; tests recheck
+def _intervals(base, cut, sub, mu):
+    """The runs of consecutive global ids that the local nodes of each micro
+    tree take, in preorder or inorder: local ids [1, cut[0]), [cut[0],
+    cut[1]) and [cut[1], mu] start at ``base`` shifted past the subtrees
+    hanging before them. Returns (global start, micro, local start) of the
+    nonempty runs, sorted by start."""
+    lo = np.array([np.ones_like(mu), cut[0], cut[1]])
+    hi = np.array([cut[0], cut[1], mu + 1])
+    run = np.array([np.zeros_like(mu), sub[0], sub[0] + sub[1]])
+    keep = hi > lo
+    micro = np.nonzero(keep)[1]
+    start, lo = (base + lo - 1 + run)[keep], lo[keep]
+    order = np.argsort(start, kind="stable")
+    return start[order], micro[order], lo[order]
 
 
 class NavIndex:
-    """Navigation index over a binary tree code, built from its layout tuple
-    (see ``hypercodec.binary_layout``)."""
+    """Navigation index over a binary tree code, built from its layout: a
+    ``BinaryCover`` or what ``parse_binary_blob`` returns."""
 
     def __init__(self, layout):
-        n, top, shapes, fields = layout
-        m = top.n
-        tables: dict[str, int] = {}
-        shape_tables: list[ShapeTable] = []
-        shape_id = [0] * m
-        for i, s in enumerate(shapes):
-            sid = tables.get(s)
-            if sid is None:
-                sid = tables[s] = len(shape_tables)
-                shape_tables.append(ShapeTable(s))
-            shape_id[i] = sid
-        # per-micro portals: (pre threshold, null rank, owner local, child micro)
-        ports: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
-        for i in range(m):
-            st = shape_tables[shape_id[i]]
-            for f, child in ((fields[i][0], top.left[i + 1]),
-                             (fields[i][1], top.right[i + 1])):
-                if not f:
-                    if child:
-                        raise MalformedStream("top-tier child without portal")
-                    continue
-                rank = f - 1
-                if child == 0 or rank not in st.null_slot:
-                    raise MalformedStream("portal without matching child")
-                x, side = st.null_slot[rank]
-                thresh = x + 1 if side == 0 else x + st.left_size[x] + 1
-                ports[i].append((thresh, rank, x, child - 1))
-            ports[i].sort()
-        self.n = n
+        p = BinaryPlacement(layout)
+        tab = p.tables
+        m = len(p.sid)
+        self.n = layout.n
         self.m = m
-        self.shapes = shape_tables
-        self.shape_id = shape_id
-        self.ports = ports
-        parent_micro = [-1] * m
-        parent_owner = [0] * m
-        for i in range(m):
-            for _, _, x, c in ports[i]:
-                parent_micro[c] = i
-                parent_owner[c] = x
-        self.parent_micro = parent_micro
-        self.parent_owner = parent_owner
+        lca = _shape_lca(tab)
+        pre = _intervals(p.root_pre, p.thr, p.sub, p.mu)
+        ino = _intervals(p.in_start, p.rank + 1, p.sub, p.mu)
+        parent_owner = np.zeros(m, dtype=np.int64)
+        parent_owner[p.child[p.has]] = p.owner[p.has]
 
-        mu = [shape_tables[shape_id[i]].mu for i in range(m)]
-        self.mu_of = mu
-        hang = [0] * m
-        for i in range(m - 1, -1, -1):
-            s = mu[i]
-            for p in ports[i]:
-                s += hang[p[3]]
-            hang[i] = s
-        if hang[0] != n:
-            raise MalformedStream("size mismatch between header and top tier")
-        self.hang = hang
-        root_pre = [0] * m
-        in_start = [0] * m
-        root_pre[0] = 1
-        in_start[0] = 1
+        # lists for the scalar queries; per-shape tables as [shape][local]
+        self._parent = tab.parent.tolist()
+        self._size = tab.size.tolist()
+        self._inorder = tab.inorder.tolist()
+        self._local_of_inorder = tab.local_of_inorder.tolist()
+        self._lca = lca.tolist()
+        self.shape_id = p.sid.tolist()
+        self.root_pre = p.root_pre.tolist()
+        self.in_start = p.in_start.tolist()
+        self.parent_micro = p.up.tolist()
+        self.parent_owner = parent_owner.tolist()
+        # per portal slot: [first portal's list, second portal's list]
+        self._thr = p.thr.tolist()
+        self._rank = p.rank.tolist()
+        self._owner = p.owner.tolist()
+        self._sub = p.sub.tolist()
         # interval tables for global preorder -> (micro, local) and
         # global inorder -> (micro, local inorder index)
-        pre_starts: list[int] = []
-        pre_micro: list[int] = []
-        pre_loc: list[int] = []
-        in_starts: list[int] = []
-        in_micro: list[int] = []
-        in_j: list[int] = []
-        for i in range(m):
-            pl = ports[i]
-            base_pre = root_pre[i]
-            base_in = in_start[i]
-            if not pl:
-                pre_starts.append(base_pre)
-                pre_micro.append(i)
-                pre_loc.append(1)
-                in_starts.append(base_in)
-                in_micro.append(i)
-                in_j.append(1)
-                continue
-            lo = 1
-            run = 0
-            for thresh, _, _, c in pl:
-                if thresh > lo:
-                    pre_starts.append(base_pre + (lo - 1) + run)
-                    pre_micro.append(i)
-                    pre_loc.append(lo)
-                root_pre[c] = base_pre + (thresh - 1) + run
-                run += hang[c]
-                lo = thresh
-            if lo <= mu[i]:
-                pre_starts.append(base_pre + (lo - 1) + run)
-                pre_micro.append(i)
-                pre_loc.append(lo)
-            lo = 1
-            run = 0
-            for _, rank, _, c in (pl if len(pl) < 2 or pl[0][1] < pl[1][1]
-                                  else [pl[1], pl[0]]):
-                if rank + 1 > lo:
-                    in_starts.append(base_in + (lo - 1) + run)
-                    in_micro.append(i)
-                    in_j.append(lo)
-                in_start[c] = base_in + rank + run
-                run += hang[c]
-                lo = rank + 1
-            if lo <= mu[i]:
-                in_starts.append(base_in + (lo - 1) + run)
-                in_micro.append(i)
-                in_j.append(lo)
-        self.root_pre = root_pre
-        self.in_start = in_start
-        order = np.argsort(np.asarray(pre_starts, dtype=np.int64), kind="stable")
-        self.pre_starts = np.asarray(pre_starts, dtype=np.int64)[order].tolist()
-        self.pre_micro = np.asarray(pre_micro, dtype=np.int64)[order].tolist()
-        self.pre_loc = np.asarray(pre_loc, dtype=np.int64)[order].tolist()
-        order = np.argsort(np.asarray(in_starts, dtype=np.int64), kind="stable")
-        self.in_starts = np.asarray(in_starts, dtype=np.int64)[order].tolist()
-        self.in_micro = np.asarray(in_micro, dtype=np.int64)[order].tolist()
-        self.in_j = np.asarray(in_j, dtype=np.int64)[order].tolist()
+        self.pre_starts, self.pre_micro, self.pre_loc = (a.tolist() for a in pre)
+        self.in_starts, self.in_micro, self.in_j = (a.tolist() for a in ino)
 
-        self._build_top_lca(top)
-        self._np = None
+        # numpy arrays for the batch kernels; the LCA table is read flat, a
+        # faster gather than three index arrays
+        self._width = lca.shape[-1]
+        self._np = {
+            "sid": p.sid, "lca": lca.ravel(), "inorder": tab.inorder,
+            "local_of_inorder": tab.local_of_inorder,
+            "thr": p.thr, "rank": p.rank, "owner": p.owner, "sub": p.sub,
+            "root_pre": p.root_pre, "in_start": p.in_start,
+            # where the subtree at the second portal starts
+            "start1": p.root_pre + p.thr[1] - 1 + p.sub[0],
+            "in_starts": ino[0], "in_micro": ino[1], "in_j": ino[2],
+        }
+        self._build_top_lca(p)
 
     # -- small helpers ------------------------------------------------------
 
-    def _shift_pre(self, i: int, loc: int) -> int:
-        s = 0
-        for thresh, _, _, c in self.ports[i]:
-            if thresh <= loc:
-                s += self.hang[c]
-        return s
-
-    def _shift_in(self, i: int, j: int) -> int:
-        s = 0
-        for _, rank, _, c in self.ports[i]:
-            if rank < j:
-                s += self.hang[c]
-        return s
-
-    def _build_top_lca(self, top: BinaryTree):
+    def _build_top_lca(self, p: BinaryPlacement):
         # LCA over the preorder-numbered top tier via a sparse table of
         # argmin-depth positions on the depth-by-preorder array:
         # for a < b, LCA(a, b) = a when b lies in a's preorder subtree,
         # otherwise parent(argmin depth over (a, b]).
         m = self.m
-        par = self.parent_micro  # -1 at the root
-        depth = [0] * m
-        for i in range(1, m):
-            depth[i] = depth[par[i]] + 1
-        da = np.asarray(depth, dtype=np.int32)
+        da = p.depth.astype(np.int32)
         st_pos = [np.arange(m, dtype=np.int64)]
         half = 1
         while 2 * half <= m:
@@ -232,12 +130,11 @@ class NavIndex:
         self._depth = da
         self._sparse = st_pos
         self._log = np.zeros(m + 1, dtype=np.int64)
-        for i in range(2, m + 1):
-            self._log[i] = self._log[i // 2] + 1
+        self._log[1:] = np.frexp(np.arange(1, m + 1))[1] - 1
         # global preorder interval of each micro's hanging subtree
-        self._sub_lo = np.asarray(self.root_pre, dtype=np.int64)
-        self._sub_hi = self._sub_lo + np.asarray(self.hang, dtype=np.int64)
-        self._par_np = np.asarray(par, dtype=np.int64)
+        self._sub_lo = p.root_pre
+        self._sub_hi = p.root_pre + p.hang
+        self._par_np = p.up
 
     def _top_lca(self, a: int, b: int) -> int:
         """LCA of micro trees a, b (0-based) in the top tier."""
@@ -261,11 +158,12 @@ class NavIndex:
         if not 1 <= v <= self.n:
             raise IndexError(v)
         k = bisect_right(self.pre_starts, v) - 1
-        i = self.pre_micro[k]
-        return i, self.pre_loc[k] + (v - self.pre_starts[k])
+        return self.pre_micro[k], self.pre_loc[k] + (v - self.pre_starts[k])
 
     def to_global(self, i: int, loc: int) -> int:
-        return self.root_pre[i] + (loc - 1) + self._shift_pre(i, loc)
+        (t0, t1), (h0, h1) = self._thr, self._sub
+        return (self.root_pre[i] + loc - 1 + (h0[i] if t0[i] <= loc else 0)
+                + (h1[i] if t1[i] <= loc else 0))
 
     # -- queries -------------------------------------------------------------
 
@@ -273,49 +171,41 @@ class NavIndex:
         mi, ul = self.to_local(u)
         mj, vl = self.to_local(v)
         if mi == mj:
-            st = self.shapes[self.shape_id[mi]]
-            w = st.lca[(ul - 1) * st.mu + (vl - 1)]
-            return self.to_global(mi, w)
+            return self.to_global(mi, self._lca[self.shape_id[mi]][ul][vl])
         W = self._top_lca(mi, mj)
         a = ul if W == mi else self._entry_local(W, u)
         b = vl if W == mj else self._entry_local(W, v)
-        st = self.shapes[self.shape_id[W]]
-        w = st.lca[(a - 1) * st.mu + (b - 1)]
-        return self.to_global(W, w)
+        return self.to_global(W, self._lca[self.shape_id[W]][a][b])
 
     def _entry_local(self, W: int, u: int) -> int:
         """Local node of micro W owning the portal whose subtree contains the
-        global preorder id u."""
-        for _, _, owner, c in self.ports[W]:
-            start = self.root_pre[c]
-            if start <= u < start + self.hang[c]:
-                return owner
-        raise AssertionError("query does not descend through a portal")
+        global preorder id u, which lies below W but not in it."""
+        (t0, t1), (h0, h1) = self._thr, self._sub
+        start = self.root_pre[W] + t1[W] - 1 + h0[W]
+        return self._owner[1][W] if start <= u < start + h1[W] else self._owner[0][W]
 
     def parent(self, v: int) -> int | None:
         mi, loc = self.to_local(v)
         if loc != 1:
-            st = self.shapes[self.shape_id[mi]]
-            return self.to_global(mi, st.parent[loc])
+            return self.to_global(mi, self._parent[self.shape_id[mi]][loc])
         if mi == 0:
             return None
         return self.to_global(self.parent_micro[mi], self.parent_owner[mi])
 
     def subtree_size(self, v: int) -> int:
         mi, loc = self.to_local(v)
-        st = self.shapes[self.shape_id[mi]]
-        s = st.size[loc]
-        end = loc + st.size[loc]
-        for _, _, owner, c in self.ports[mi]:
-            if loc <= owner < end:
-                s += self.hang[c]
-        return s
+        s = self._size[self.shape_id[mi]][loc]
+        end = loc + s
+        (o0, o1), (h0, h1) = self._owner, self._sub
+        return (s + (h0[mi] if loc <= o0[mi] < end else 0)
+                + (h1[mi] if loc <= o1[mi] < end else 0))
 
     def inorder_rank(self, v: int) -> int:
         mi, loc = self.to_local(v)
-        st = self.shapes[self.shape_id[mi]]
-        j = st.inorder_of[loc]
-        return self.in_start[mi] + (j - 1) + self._shift_in(mi, j)
+        j = self._inorder[self.shape_id[mi]][loc]
+        (r0, r1), (h0, h1) = self._rank, self._sub
+        return (self.in_start[mi] + j - 1 + (h0[mi] if r0[mi] < j else 0)
+                + (h1[mi] if r1[mi] < j else 0))
 
     def inorder_select(self, r: int) -> int:
         if not 1 <= r <= self.n:
@@ -323,91 +213,42 @@ class NavIndex:
         k = bisect_right(self.in_starts, r) - 1
         i = self.in_micro[k]
         j = self.in_j[k] + (r - self.in_starts[k])
-        st = self.shapes[self.shape_id[i]]
-        return self.to_global(i, st.local_of_inorder[j])
+        return self.to_global(i, self._local_of_inorder[self.shape_id[i]][j])
 
     # -- batched kernels (numpy) ---------------------------------------------
 
-    def _ensure_np(self):
-        if self._np is not None:
-            return self._np
-        m = self.m
-        shapes = self.shapes
-        sid = np.asarray(self.shape_id, dtype=np.int64)
-        mu = np.asarray([st.mu for st in shapes], dtype=np.int64)
-        off_lin = np.concatenate([[0], np.cumsum(mu)])          # local arrays
-        off_lca = np.concatenate([[0], np.cumsum(mu * mu)])
-        in_of = np.concatenate([np.asarray(st.inorder_of[1:], dtype=np.int64)
-                                for st in shapes])
-        loc_of_in = np.concatenate([np.asarray(st.local_of_inorder[1:], dtype=np.int64)
-                                    for st in shapes])
-        lca_flat = np.concatenate([np.asarray(st.lca, dtype=np.int64)
-                                   for st in shapes])
-        ports = self.ports
-        big = np.iinfo(np.int64).max
-        p_thr = np.full((2, m), big, dtype=np.int64)
-        p_rank = np.full((2, m), big, dtype=np.int64)
-        p_owner = np.zeros((2, m), dtype=np.int64)
-        p_child = np.zeros((2, m), dtype=np.int64)
-        p_hang = np.zeros((2, m), dtype=np.int64)
-        p_cstart = np.full((2, m), big, dtype=np.int64)
-        for i, pl in enumerate(ports):
-            for k, (thresh, rank, owner, c) in enumerate(pl):
-                p_thr[k, i] = thresh
-                p_rank[k, i] = rank
-                p_owner[k, i] = owner
-                p_child[k, i] = c
-                p_hang[k, i] = self.hang[c]
-                p_cstart[k, i] = self.root_pre[c]
-        self._np = {
-            "sid": sid, "mu": mu,
-            "off_lin": off_lin, "off_lca": off_lca,
-            "in_of": in_of, "loc_of_in": loc_of_in, "lca": lca_flat,
-            "p_thr": p_thr, "p_rank": p_rank, "p_owner": p_owner,
-            "p_child": p_child, "p_hang": p_hang, "p_cstart": p_cstart,
-            "root_pre": np.asarray(self.root_pre, dtype=np.int64),
-            "in_start": np.asarray(self.in_start, dtype=np.int64),
-            "in_starts": np.asarray(self.in_starts, dtype=np.int64),
-            "in_micro": np.asarray(self.in_micro, dtype=np.int64),
-            "in_j": np.asarray(self.in_j, dtype=np.int64),
-        }
-        return self._np
-
     def batch_select_local(self, r):
         """Vectorized inorder select into (micro, local) coordinates."""
-        d = self._ensure_np()
+        d = self._np
         r = np.asarray(r, dtype=np.int64)
         k = np.searchsorted(d["in_starts"], r, side="right") - 1
         mi = d["in_micro"][k]
         j = d["in_j"][k] + (r - d["in_starts"][k])
-        loc = d["loc_of_in"][d["off_lin"][d["sid"][mi]] + j - 1]
-        return mi, loc
+        return mi, d["local_of_inorder"][d["sid"][mi], j]
 
     def batch_lca_local(self, mi, ul, mj, vl):
         """Vectorized LCA in (micro, local) coordinates; returns (mw, wl)."""
-        d = self._ensure_np()
+        d = self._np
         pre_u = self._batch_to_global(mi, ul)
         pre_v = self._batch_to_global(mj, vl)
         W = self._batch_top_lca(mi, mj)
         a = np.where(W == mi, ul, self._batch_entry(W, pre_u))
         b = np.where(W == mj, vl, self._batch_entry(W, pre_v))
-        sidw = d["sid"][W]
-        w = d["lca"][d["off_lca"][sidw] + (a - 1) * d["mu"][sidw] + (b - 1)]
-        return W, w
+        width = self._width
+        return W, d["lca"][(d["sid"][W] * width + a) * width + b]
 
     def _batch_to_global(self, mi, loc):
-        d = self._ensure_np()
+        d = self._np
         g = d["root_pre"][mi] + loc - 1
         for k in (0, 1):
-            g = g + np.where(d["p_thr"][k][mi] <= loc, d["p_hang"][k][mi], 0)
+            g = g + np.where(d["thr"][k][mi] <= loc, d["sub"][k][mi], 0)
         return g
 
     def _batch_entry(self, W, pre_u):
-        d = self._ensure_np()
-        out = d["p_owner"][0][W]
-        s1 = d["p_cstart"][1][W]
-        in1 = (s1 <= pre_u) & (pre_u < s1 + np.where(s1 == np.iinfo(np.int64).max, 0, d["p_hang"][1][W]))
-        return np.where(in1, d["p_owner"][1][W], out)
+        d = self._np
+        start = d["start1"][W]
+        in1 = (start <= pre_u) & (pre_u < start + d["sub"][1][W])
+        return np.where(in1, d["owner"][1][W], d["owner"][0][W])
 
     def _batch_top_lca(self, a, b):
         lo = np.minimum(a, b)
@@ -427,11 +268,11 @@ class NavIndex:
         return np.where(inside, lo, self._par_np[p])
 
     def batch_inorder_rank(self, mi, loc):
-        d = self._ensure_np()
-        j = d["in_of"][d["off_lin"][d["sid"][mi]] + loc - 1]
+        d = self._np
+        j = d["inorder"][d["sid"][mi], loc]
         r = d["in_start"][mi] + j - 1
         for k in (0, 1):
-            r = r + np.where(d["p_rank"][k][mi] < j, d["p_hang"][k][mi], 0)
+            r = r + np.where(d["rank"][k][mi] < j, d["sub"][k][mi], 0)
         return r
 
 

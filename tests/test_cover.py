@@ -5,8 +5,8 @@ import pytest
 from conftest import random_bst
 from hypertree.cover import (
     BinaryCover, CoverStats, EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_NEW_LEFT,
-    EDGE_NEW_RIGHT, decompose_binary, decompose_ordinal, default_block,
-    validate_cover,
+    EDGE_NEW_RIGHT, ShapeTables, decompose_binary, decompose_ordinal,
+    default_block, validate_cover,
 )
 from hypertree.trees import (
     BinaryTree, OrdinalTree, annotate, bp_encode_binary, left_chain,
@@ -110,6 +110,35 @@ def test_ordinal_cover_random(rng):
         res = validate_cover(cov, t)
         assert isinstance(res, CoverStats), (n, B, kind, res[:4])
         assert OrdinalTree.from_links(1, cov.top_tier.children) == cov.top_tier
+
+
+def test_shape_tables_match_annotate(rng):
+    # shapes of mixed sizes in one table, against the per-node loops of
+    # annotate and a scan of the null pointers in inorder
+    shapes = [left_chain(7), BinaryTree(1, [0, 0], [0, 0])]
+    shapes += [random_bst(rng, rng.randint(1, 12)) for _ in range(40)]
+    tab = ShapeTables([bp_encode_binary(sh).to_paren() for sh in shapes])
+    for s, sh in enumerate(shapes):
+        ann = annotate(sh)
+        mu = sh.n
+        assert tab.mu[s] == mu
+        assert tab.size[s, :mu + 1].tolist() == ann.subtree_size
+        assert tab.inorder[s, 1:mu + 1].tolist() == ann.inorder_rank[1:]
+        assert not tab.size[s, mu + 1:].any() and not tab.inorder[s, mu + 1:].any()
+        for x in range(1, mu + 1):
+            assert tab.local_of_inorder[s, ann.inorder_rank[x]] == x
+            for c in (sh.left[x], sh.right[x]):
+                if c:
+                    assert tab.parent[s, c] == x
+        nulls = []   # (node, side, first preorder id after it), in inorder
+        for x in sorted(range(1, mu + 1), key=lambda x: ann.inorder_rank[x]):
+            if not sh.left[x]:
+                nulls.append((x, 0, x + 1))
+            if not sh.right[x]:
+                nulls.append((x, 1, x + ann.subtree_size[x]))
+        assert len(nulls) == mu + 1
+        assert [tuple(int(a[s, r]) for a in (tab.null_node, tab.null_side, tab.null_thr))
+                for r in range(mu + 1)] == nulls
 
 
 def test_validate_reports_corruption(rng):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import flipped_bst_blob, random_bst
@@ -8,7 +9,7 @@ from hypertree.bits import BitBuf, MalformedStream
 from hypertree.cover import decompose_binary, decompose_ordinal
 from hypertree import hypercodec
 from hypertree.hypercodec import (
-    HsBlob, binary_layout, build_shape_code, hs_decode_binary, hs_decode_ordinal,
+    HsBlob, build_shape_code, hs_decode_binary, hs_decode_ordinal,
     hs_encode_binary, hs_encode_ordinal, parse_binary_blob, read_hst, restrict,
     space_report, write_hst,
 )
@@ -187,9 +188,22 @@ def test_huffman_beats_dfs_competitor(rng):
         assert blob.parts["huffman"] <= comp + 1e-6
 
 
-def _escapes(layout) -> int:
-    code = build_shape_code(layout[2])
-    return sum(1 for s in layout[2] if restrict(code, s).get(0) == 0)
+def _micro_bps(layout) -> list[str]:
+    """Each micro tree's shape BP string, of a cover or a parsed blob."""
+    return [layout.shape_bps[k] for k in layout.shape_id.tolist()]
+
+
+def _assert_parsed_is_cover(parsed, cov):
+    assert parsed.n == cov.n
+    assert parsed.top_tier == cov.top_tier
+    assert _micro_bps(parsed) == _micro_bps(cov)
+    assert np.array_equal(parsed.fields, cov.fields)
+
+
+def _escapes(cov) -> int:
+    shapes = _micro_bps(cov)
+    code = build_shape_code(shapes)
+    return sum(1 for s in shapes if restrict(code, s).get(0) == 0)
 
 
 def test_parse_matches_layout_every_binary_source(rng):
@@ -205,14 +219,13 @@ def test_parse_matches_layout_every_binary_source(rng):
             t = S.sample(src, n, rng.getrandbits(32))
             for B in (1, 2, 3, 6, max(1, math.ceil(math.log2(n) ** 2))):
                 cov = decompose_binary(t, B)
-                layout = binary_layout(cov)
-                assert parse_binary_blob(hs_encode_binary(t, cover=cov)) == layout
+                _assert_parsed_is_cover(
+                    parse_binary_blob(hs_encode_binary(t, cover=cov)), cov)
     # a blob with escaped micro trees
     t = S.sample(S.parse_source("binomial"), 1500, 3)
     cov = decompose_binary(t, 6)
-    layout = binary_layout(cov)
-    assert _escapes(layout) > 0
-    assert parse_binary_blob(hs_encode_binary(t, cover=cov)) == layout
+    assert _escapes(cov) > 0
+    _assert_parsed_is_cover(parse_binary_blob(hs_encode_binary(t, cover=cov)), cov)
 
 
 def test_cover_stats_match_layout():
@@ -221,12 +234,11 @@ def test_cover_stats_match_layout():
     for t, B in ((S.sample(S.parse_source("binomial"), 1500, 3), 6),
                  (S.sample(S.UniformSource(), 700, 2), None)):
         cov = decompose_binary(t, B)
-        layout = binary_layout(cov)
-        shapes = layout[2]
+        shapes = _micro_bps(cov)
         stats = hypercodec.cover_stats(cov)
         assert stats == {"m": len(shapes), "distinctShapes": len(set(shapes)),
                          "meanMicroSize": t.n / len(shapes),
-                         "escapes": _escapes(layout)}
+                         "escapes": _escapes(cov)}
         escapes.append(stats["escapes"])
     assert escapes[0] > 0
     cov = decompose_ordinal(S.sample(S.LrmSource(), 400, 4), 3)
@@ -240,11 +252,10 @@ def test_cover_stats_match_layout():
 def test_parse_one_shape_codebook():
     t = left_chain(50)
     cov = decompose_binary(t, 1)
-    layout = binary_layout(cov)
-    assert set(layout[2]) == {"()"}
+    assert set(_micro_bps(cov)) == {"()"}
     blob = hs_encode_binary(t, cover=cov)
     assert blob.parts["codewords"] == 2 * 50   # a set flag and the 1-bit codeword
-    assert parse_binary_blob(blob) == layout
+    _assert_parsed_is_cover(parse_binary_blob(blob), cov)
     assert hs_decode_binary(blob) == t
 
 
@@ -259,14 +270,14 @@ def test_parse_codewords_longer_than_a_window(monkeypatch):
     monkeypatch.setattr(hypercodec, "_huffman_lengths", skewed)
     t = S.sample(S.UniformSource(), 3000, 11)
     cov = decompose_binary(t, 40)
-    layout = binary_layout(cov)
-    code = build_shape_code(layout[2])
+    shapes = _micro_bps(cov)
+    code = build_shape_code(shapes)
     assert code.max_len > 64
     assert any(code.code_len[s] > 64 and restrict(code, s).get(0) == 1
-               for s in layout[2])
-    assert _escapes(layout) > 0
+               for s in shapes)
+    assert _escapes(cov) > 0
     blob = hs_encode_binary(t, cover=cov)
-    assert parse_binary_blob(blob) == layout
+    _assert_parsed_is_cover(parse_binary_blob(blob), cov)
     assert hs_decode_binary(HsBlob.from_bytes(blob.to_bytes())) == t
 
 
@@ -279,21 +290,29 @@ def test_codebook_rejects_out_of_range_lengths():
 
 
 def test_two_portals_at_one_null_rejected():
-    # a micro tree whose two portal fields name the same null: the index
-    # built from it would answer every inorder rank wrongly
+    # portal fields that name one null twice, or two nulls in the wrong
+    # order: the index built from either would answer queries wrongly or
+    # fail inside a query
     from hypertree.navigate import build_nav
     t = S.sample(S.BstSource(), 3000, 5)
     cov = decompose_binary(t)
     top = cov.top_tier
     i = next(i for i in range(top.n) if top.left[i + 1] and top.right[i + 1])
-    fields = cov.fields.copy()
-    fields[i, 1] = fields[i, 0]
-    blob = hypercodec._write_blob("binary", cov.n, bp_encode_binary(top).to_array(),
-                                  cov.shape_bps, cov.shape_id, fields)
-    for decode in (build_nav, hs_decode_binary):
-        with pytest.raises(MalformedStream) as info:
-            decode(blob)
-        assert info.value.part == "portals"
+    same = cov.fields.copy()
+    same[i, 1] = same[i, 0]
+    t = S.sample(S.BstSource(), 300, 0)
+    swap_cov = decompose_binary(t, 3)
+    swapped = swap_cov.fields.copy()
+    j = next(j for j in range(len(swapped)) if swapped[j, 1])
+    swapped[j] = swapped[j, ::-1]
+    for c, fields in ((cov, same), (swap_cov, swapped)):
+        blob = hypercodec._write_blob(
+            "binary", c.n, bp_encode_binary(c.top_tier).to_array(),
+            c.shape_bps, c.shape_id, fields)
+        for decode in (build_nav, hs_decode_binary):
+            with pytest.raises(MalformedStream) as info:
+                decode(blob)
+            assert info.value.part == "portals"
 
 
 # Binary blobs of every binary source at several block sizes, one large

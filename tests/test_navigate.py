@@ -6,7 +6,7 @@ import pytest
 from conftest import random_bst
 from hypertree.bits import MalformedStream
 from hypertree.cover import decompose_binary
-from hypertree.hypercodec import binary_layout, hs_encode_binary, hs_encode_ordinal
+from hypertree.hypercodec import hs_encode_binary, hs_encode_ordinal
 from hypertree.navigate import NavIndex, build_nav
 from hypertree.trees import annotate, left_chain, ordinal_star, single_node
 from hypertree import sources as S
@@ -72,7 +72,7 @@ def test_oracle_equivalence(rng):
         B = rng.choice([None, 1, 2, 3, 6])
         cov = decompose_binary(t, B)
         blob = hs_encode_binary(t, cover=cov)
-        idx = build_nav(blob) if trial % 2 else NavIndex(binary_layout(cov))
+        idx = build_nav(blob) if trial % 2 else NavIndex(cov)
         ann, par, lca = brute_tables(t)
         for v in range(1, n + 1):
             assert idx.inorder_rank(v) == ann.inorder_rank[v]

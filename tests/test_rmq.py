@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypertree.bits import BitBuf, MalformedStream
+from hypertree.cover import decompose_binary
 from hypertree.rmq import (
     bp_encode_postorder_variant, cartesian_tree, dyck_peaks, lg_narayana,
     rmq_build, runs_profile,
@@ -59,15 +60,20 @@ def test_rmq_matches_bruteforce(rng):
 
 
 def test_build_restores_gc_state():
-    assert gc.isenabled()
-    rmq_build([3, 1, 2])
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        rmq_build([3, 1, 2])
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
+    # rmq_build and the first read of a binary cover's micro trees pause
+    # the collector and leave it as they found it
+    t = cartesian_tree([3, 1, 2, 5, 4])
+    for build in (lambda: rmq_build([3, 1, 2]),
+                  lambda: decompose_binary(t, 1).micro):
+        assert gc.isenabled()
+        build()
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            build()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def test_rmq_bad_interval():
