@@ -6,18 +6,19 @@ The index is built from a binary layout (see ``cover``): ``NavIndex(cover)``
 from a cover, and ``build_nav(blob)``, which is
 ``NavIndex(parse_binary_blob(blob))``, from a blob. It reads the layout
 through ``cover.BinaryPlacement``, the placement the decoder reads too, and
-keeps its arrays twice: as numpy arrays for the batch kernels, and as lists
-for the scalar queries, which read Python ints faster than numpy scalars.
+keeps each of its arrays once, compact: int32 for ids and sizes, and the
+smallest unsigned type that holds the largest micro tree for local ids. The
+batch kernels gather from these numpy arrays; the scalar queries read the
+same buffers through memoryviews, which return Python ints.
 
-Complexities: LCA, parent, subtree size, and inorder rank are O(1) once the
-owning micro tree is known; locating it (and inorder select) is a binary
-search over at most 3m intervals, so O(lg m) per query. The batch entry
-points answer numpy arrays of queries vectorized.
+Complexities: every query is O(1). Per-node arrays map a global preorder id
+or inorder rank to its micro tree and local preorder id; per-shape tables
+answer inside a micro tree; a sparse table over the top tier's depths finds
+the LCA of two micro trees. The batch entry points answer numpy arrays of
+queries vectorized.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -26,130 +27,90 @@ from .hypercodec import HsBlob, parse_binary_blob
 
 
 def _shape_lca(tables: ShapeTables) -> np.ndarray:
-    """lca[s, u, v]: the LCA of local nodes u and v of shape s. In preorder
-    the ancestors of v are the w <= v with v < w + size[w], so the smaller
-    of u and v, walked up until its subtree holds the larger, is the LCA."""
+    """lca[s, u, v]: the LCA of local nodes u and v of shape s. The nodes
+    between u and v in inorder all lie in the LCA's subtree, and the LCA is
+    one of them, so it is the one first in preorder: a running minimum of
+    local ids along each row of inorder ranks."""
     k, W = tables.size.shape
-    rows = np.arange(k)[:, None, None]
     ids = np.arange(W)
-    a = np.minimum.outer(ids, ids) + np.zeros_like(rows)
-    b = np.maximum.outer(ids, ids)
-    # padding and column 0 stop at once: their "subtree" holds every id
-    size = np.where(tables.size > 0, tables.size, W)
-    while True:
-        out = b >= a + size[rows, a]
-        if not out.any():
-            return a
-        a = np.where(out, tables.parent[rows, a], a)
-
-
-def _intervals(base, cut, sub, mu):
-    """The runs of consecutive global ids that the local nodes of each micro
-    tree take, in preorder or inorder: local ids [1, cut[0]), [cut[0],
-    cut[1]) and [cut[1], mu] start at ``base`` shifted past the subtrees
-    hanging before them. Returns (global start, micro, local start) of the
-    nonempty runs, sorted by start."""
-    lo = np.array([np.ones_like(mu), cut[0], cut[1]])
-    hi = np.array([cut[0], cut[1], mu + 1])
-    run = np.array([np.zeros_like(mu), sub[0], sub[0] + sub[1]])
-    keep = hi > lo
-    micro = np.nonzero(keep)[1]
-    start, lo = (base + lo - 1 + run)[keep], lo[keep]
-    order = np.argsort(start, kind="stable")
-    return start[order], micro[order], lo[order]
+    low = np.minimum.accumulate(
+        np.where(ids[:, None] <= ids, tables.local_of_inorder[:, None, :], W), axis=2)
+    r = tables.inorder
+    return low[np.arange(k)[:, None, None], np.minimum(r[:, :, None], r[:, None, :]),
+               np.maximum(r[:, :, None], r[:, None, :])]
 
 
 class NavIndex:
     """Navigation index over a binary tree code, built from its layout: a
-    ``BinaryCover`` or what ``parse_binary_blob`` returns."""
+    ``BinaryCover`` or what ``parse_binary_blob`` returns.
+
+    Every array is held once, as a memoryview for the scalar queries; the
+    batch kernels gather from the numpy array behind it, the view's ``obj``.
+    """
 
     def __init__(self, layout):
         p = BinaryPlacement(layout)
         tab = p.tables
-        m = len(p.sid)
-        self.n = layout.n
-        self.m = m
-        lca = _shape_lca(tab)
-        pre = _intervals(p.root_pre, p.thr, p.sub, p.mu)
-        ino = _intervals(p.in_start, p.rank + 1, p.sub, p.mu)
+        n, m = layout.n, len(p.sid)
+        self.n, self.m = n, m
+        self._width = W = tab.size.shape[1]
+        # a local id is at most the largest micro size + 1 (a missing
+        # portal's threshold)
+        loc = np.min_scalar_type(W)
         parent_owner = np.zeros(m, dtype=np.int64)
         parent_owner[p.child[p.has]] = p.owner[p.has]
+        # one conversion per dtype keeps small builds cheap; rows are views
+        ids = np.array([p.sid, p.root_pre, p.in_start, p.up, p.depth,
+                        p.root_pre + p.hang, p.sub[0], p.sub[1]], dtype=np.int32)
+        locs = np.array([p.thr[0], p.thr[1], p.rank[0], p.rank[1], p.owner[0],
+                         p.owner[1], parent_owner], dtype=loc)
+        # per shape, read flat at [shape * W + local]
+        shape = np.array([tab.parent, tab.size, tab.inorder], dtype=loc).reshape(3, -1)
 
-        # lists for the scalar queries; per-shape tables as [shape][local]
-        self._parent = tab.parent.tolist()
-        self._size = tab.size.tolist()
-        self._inorder = tab.inorder.tolist()
-        self._local_of_inorder = tab.local_of_inorder.tolist()
-        self._lca = lca.tolist()
-        self.shape_id = p.sid.tolist()
-        self.root_pre = p.root_pre.tolist()
-        self.in_start = p.in_start.tolist()
-        self.parent_micro = p.up.tolist()
-        self.parent_owner = parent_owner.tolist()
-        # per portal slot: [first portal's list, second portal's list]
-        self._thr = p.thr.tolist()
-        self._rank = p.rank.tolist()
-        self._owner = p.owner.tolist()
-        self._sub = p.sub.tolist()
-        # interval tables for global preorder -> (micro, local) and
-        # global inorder -> (micro, local inorder index)
-        self.pre_starts, self.pre_micro, self.pre_loc = (a.tolist() for a in pre)
-        self.in_starts, self.in_micro, self.in_j = (a.tolist() for a in ino)
+        view = memoryview
+        (self._sid, self._root_pre, self._in_start, self._up, self._depth,
+         self._end, sub0, sub1) = map(view, ids)
+        self._sub = (sub0, sub1)
+        self._thr = (view(locs[0]), view(locs[1]))
+        self._rank = (view(locs[2]), view(locs[3]))
+        self._owner = (view(locs[4]), view(locs[5]))
+        self._parent_owner = view(locs[6])
+        self._parent, self._size, self._inorder = map(view, shape)
+        # [(shape * W + a) * W + b]
+        self._lca = view(_shape_lca(tab).astype(loc).ravel())
+        self._sparse = view(_sparse_table(p.depth))
 
-        # numpy arrays for the batch kernels; the LCA table is read flat, a
-        # faster gather than three index arrays
-        self._width = lca.shape[-1]
-        self._np = {
-            "sid": p.sid, "lca": lca.ravel(), "inorder": tab.inorder,
-            "local_of_inorder": tab.local_of_inorder,
-            "thr": p.thr, "rank": p.rank, "owner": p.owner, "sub": p.sub,
-            "root_pre": p.root_pre, "in_start": p.in_start,
-            # where the subtree at the second portal starts
-            "start1": p.root_pre + p.thr[1] - 1 + p.sub[0],
-            "in_starts": ino[0], "in_micro": ino[1], "in_j": ino[2],
-        }
-        self._build_top_lca(p)
+        # global preorder id -> (micro, local id), and inorder rank -> the
+        # same: every local node, placed by the batch kernels
+        micro, local = np.nonzero(np.arange(1, W) <= p.mu[:, None])
+        local += 1
+        g = self._batch_to_global(micro, local)
+        r = self.batch_inorder_rank(micro, local)
+        nodes = np.zeros((2, n + 1), dtype=np.int32)
+        nodes[0, g], nodes[1, r] = micro, micro
+        node_loc = np.zeros((2, n + 1), dtype=loc)
+        node_loc[0, g], node_loc[1, r] = local, local
+        self._pre_micro, self._in_micro = map(view, nodes)
+        self._pre_loc, self._in_loc = map(view, node_loc)
 
-    # -- small helpers ------------------------------------------------------
-
-    def _build_top_lca(self, p: BinaryPlacement):
-        # LCA over the preorder-numbered top tier via a sparse table of
-        # argmin-depth positions on the depth-by-preorder array:
-        # for a < b, LCA(a, b) = a when b lies in a's preorder subtree,
-        # otherwise parent(argmin depth over (a, b]).
-        m = self.m
-        da = p.depth.astype(np.int32)
-        st_pos = [np.arange(m, dtype=np.int64)]
-        half = 1
-        while 2 * half <= m:
-            prev = st_pos[-1]
-            a = prev[: m - 2 * half + 1]
-            b = prev[half: m - half + 1]
-            st_pos.append(np.where(da[b] < da[a], b, a))
-            half *= 2
-        self._depth = da
-        self._sparse = st_pos
-        self._log = np.zeros(m + 1, dtype=np.int64)
-        self._log[1:] = np.frexp(np.arange(1, m + 1))[1] - 1
-        # global preorder interval of each micro's hanging subtree
-        self._sub_lo = p.root_pre
-        self._sub_hi = p.root_pre + p.hang
-        self._par_np = p.up
+    # -- top tier -------------------------------------------------------------
 
     def _top_lca(self, a: int, b: int) -> int:
-        """LCA of micro trees a, b (0-based) in the top tier."""
+        """LCA of micro trees a, b (0-based) in the top tier: a when b lies in
+        a's preorder subtree, otherwise the parent of the shallowest micro
+        tree in (a, b]."""
         if a == b:
             return a
         if a > b:
             a, b = b, a
-        if self._sub_lo[b] < self._sub_hi[a]:
+        if self._root_pre[b] < self._end[a]:
             return a
-        lo, hi = a + 1, b
-        k = int(self._log[hi - lo + 1])
-        p1 = self._sparse[k][lo]
-        p2 = self._sparse[k][hi - (1 << k) + 1]
-        p = p2 if self._depth[p2] < self._depth[p1] else p1
-        return self.parent_micro[int(p)]
+        k = (b - a).bit_length() - 1
+        at = k * (self.m + 1) - (1 << k) + 1
+        st, depth = self._sparse, self._depth
+        p1 = st[at + a + 1]
+        p2 = st[at + b - (1 << k) + 1]
+        return self._up[p2 if depth[p2] < depth[p1] else p1]
 
     # -- coordinate conversion ---------------------------------------------
 
@@ -157,12 +118,11 @@ class NavIndex:
         """Global preorder id -> (micro index, local preorder id)."""
         if not 1 <= v <= self.n:
             raise IndexError(v)
-        k = bisect_right(self.pre_starts, v) - 1
-        return self.pre_micro[k], self.pre_loc[k] + (v - self.pre_starts[k])
+        return self._pre_micro[v], self._pre_loc[v]
 
     def to_global(self, i: int, loc: int) -> int:
         (t0, t1), (h0, h1) = self._thr, self._sub
-        return (self.root_pre[i] + loc - 1 + (h0[i] if t0[i] <= loc else 0)
+        return (self._root_pre[i] + loc - 1 + (h0[i] if t0[i] <= loc else 0)
                 + (h1[i] if t1[i] <= loc else 0))
 
     # -- queries -------------------------------------------------------------
@@ -170,31 +130,32 @@ class NavIndex:
     def lca(self, u: int, v: int) -> int:
         mi, ul = self.to_local(u)
         mj, vl = self.to_local(v)
+        W = self._width
         if mi == mj:
-            return self.to_global(mi, self._lca[self.shape_id[mi]][ul][vl])
-        W = self._top_lca(mi, mj)
-        a = ul if W == mi else self._entry_local(W, u)
-        b = vl if W == mj else self._entry_local(W, v)
-        return self.to_global(W, self._lca[self.shape_id[W]][a][b])
+            return self.to_global(mi, self._lca[(self._sid[mi] * W + ul) * W + vl])
+        top = self._top_lca(mi, mj)
+        a = ul if top == mi else self._entry_local(top, u)
+        b = vl if top == mj else self._entry_local(top, v)
+        return self.to_global(top, self._lca[(self._sid[top] * W + a) * W + b])
 
-    def _entry_local(self, W: int, u: int) -> int:
-        """Local node of micro W owning the portal whose subtree contains the
-        global preorder id u, which lies below W but not in it."""
+    def _entry_local(self, i: int, u: int) -> int:
+        """Local node of micro i owning the portal whose subtree contains the
+        global preorder id u, which lies below i but not in it."""
         (t0, t1), (h0, h1) = self._thr, self._sub
-        start = self.root_pre[W] + t1[W] - 1 + h0[W]
-        return self._owner[1][W] if start <= u < start + h1[W] else self._owner[0][W]
+        start = self._root_pre[i] + t1[i] - 1 + h0[i]
+        return self._owner[1][i] if start <= u < start + h1[i] else self._owner[0][i]
 
     def parent(self, v: int) -> int | None:
         mi, loc = self.to_local(v)
         if loc != 1:
-            return self.to_global(mi, self._parent[self.shape_id[mi]][loc])
+            return self.to_global(mi, self._parent[self._sid[mi] * self._width + loc])
         if mi == 0:
             return None
-        return self.to_global(self.parent_micro[mi], self.parent_owner[mi])
+        return self.to_global(self._up[mi], self._parent_owner[mi])
 
     def subtree_size(self, v: int) -> int:
         mi, loc = self.to_local(v)
-        s = self._size[self.shape_id[mi]][loc]
+        s = self._size[self._sid[mi] * self._width + loc]
         end = loc + s
         (o0, o1), (h0, h1) = self._owner, self._sub
         return (s + (h0[mi] if loc <= o0[mi] < end else 0)
@@ -202,78 +163,84 @@ class NavIndex:
 
     def inorder_rank(self, v: int) -> int:
         mi, loc = self.to_local(v)
-        j = self._inorder[self.shape_id[mi]][loc]
+        j = self._inorder[self._sid[mi] * self._width + loc]
         (r0, r1), (h0, h1) = self._rank, self._sub
-        return (self.in_start[mi] + j - 1 + (h0[mi] if r0[mi] < j else 0)
+        return (self._in_start[mi] + j - 1 + (h0[mi] if r0[mi] < j else 0)
                 + (h1[mi] if r1[mi] < j else 0))
 
     def inorder_select(self, r: int) -> int:
         if not 1 <= r <= self.n:
             raise IndexError(r)
-        k = bisect_right(self.in_starts, r) - 1
-        i = self.in_micro[k]
-        j = self.in_j[k] + (r - self.in_starts[k])
-        return self.to_global(i, self._local_of_inorder[self.shape_id[i]][j])
+        return self.to_global(self._in_micro[r], self._in_loc[r])
 
     # -- batched kernels (numpy) ---------------------------------------------
+    # Local ids may be unsigned and narrow: each sum below starts from an
+    # int32 array, so a local id never meets a negative term on its own.
 
     def batch_select_local(self, r):
         """Vectorized inorder select into (micro, local) coordinates."""
-        d = self._np
         r = np.asarray(r, dtype=np.int64)
-        k = np.searchsorted(d["in_starts"], r, side="right") - 1
-        mi = d["in_micro"][k]
-        j = d["in_j"][k] + (r - d["in_starts"][k])
-        return mi, d["local_of_inorder"][d["sid"][mi], j]
+        if r.size and (r.min() < 1 or r.max() > self.n):
+            raise IndexError("rank out of range in batch")
+        return self._in_micro.obj[r], self._in_loc.obj[r]
 
     def batch_lca_local(self, mi, ul, mj, vl):
         """Vectorized LCA in (micro, local) coordinates; returns (mw, wl)."""
-        d = self._np
         pre_u = self._batch_to_global(mi, ul)
         pre_v = self._batch_to_global(mj, vl)
-        W = self._batch_top_lca(mi, mj)
-        a = np.where(W == mi, ul, self._batch_entry(W, pre_u))
-        b = np.where(W == mj, vl, self._batch_entry(W, pre_v))
-        width = self._width
-        return W, d["lca"][(d["sid"][W] * width + a) * width + b]
+        top = self._batch_top_lca(mi, mj)
+        a = np.where(top == mi, ul, self._batch_entry(top, pre_u))
+        b = np.where(top == mj, vl, self._batch_entry(top, pre_v))
+        W = self._width
+        return top, self._lca.obj[(self._sid.obj[top] * W + a) * W + b]
 
     def _batch_to_global(self, mi, loc):
-        d = self._np
-        g = d["root_pre"][mi] + loc - 1
+        g = self._root_pre.obj[mi] + loc - 1
         for k in (0, 1):
-            g = g + np.where(d["thr"][k][mi] <= loc, d["sub"][k][mi], 0)
+            g = g + np.where(self._thr[k].obj[mi] <= loc, self._sub[k].obj[mi], 0)
         return g
 
-    def _batch_entry(self, W, pre_u):
-        d = self._np
-        start = d["start1"][W]
-        in1 = (start <= pre_u) & (pre_u < start + d["sub"][1][W])
-        return np.where(in1, d["owner"][1][W], d["owner"][0][W])
+    def _batch_entry(self, i, pre_u):
+        h0, h1 = self._sub[0].obj, self._sub[1].obj
+        start = self._root_pre.obj[i] + self._thr[1].obj[i] - 1 + h0[i]
+        in1 = (start <= pre_u) & (pre_u < start + h1[i])
+        return np.where(in1, self._owner[1].obj[i], self._owner[0].obj[i])
 
     def _batch_top_lca(self, a, b):
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        inside = self._sub_lo[hi] < self._sub_hi[lo]
-        l2 = lo + 1
-        span = np.maximum(hi - l2 + 1, 1)
-        k = self._log[span]
-        st = self._sparse
-        p1 = np.empty_like(lo)
-        p2 = np.empty_like(lo)
-        for kk in np.unique(k):
-            mask = k == kk
-            p1[mask] = st[kk][np.minimum(l2[mask], self.m - 1)]
-            p2[mask] = st[kk][hi[mask] - (1 << int(kk)) + 1]
-        p = np.where(self._depth[p2] < self._depth[p1], p2, p1)
-        return np.where(inside, lo, self._par_np[p])
+        inside = self._root_pre.obj[hi] < self._end.obj[lo]
+        k = np.frexp(np.maximum(hi - lo, 1))[1].astype(np.int64) - 1
+        at = k * (self.m + 1) - (1 << k) + 1
+        st, depth = self._sparse.obj, self._depth.obj
+        p1 = st[at + np.minimum(lo + 1, hi)]
+        p2 = st[at + hi - (1 << k) + 1]
+        p = np.where(depth[p2] < depth[p1], p2, p1)
+        return np.where(inside, lo, self._up.obj[p])
 
     def batch_inorder_rank(self, mi, loc):
-        d = self._np
-        j = d["inorder"][d["sid"][mi], loc]
-        r = d["in_start"][mi] + j - 1
+        j = self._inorder.obj[self._sid.obj[mi] * self._width + loc]
+        r = self._in_start.obj[mi] + j - 1
         for k in (0, 1):
-            r = r + np.where(d["rank"][k][mi] < j, d["sub"][k][mi], 0)
+            r = r + np.where(self._rank[k].obj[mi] < j, self._sub[k].obj[mi], 0)
         return r
+
+
+def _sparse_table(depth) -> np.ndarray:
+    """Argmin-depth positions over every power-of-two window of the top
+    tier's depths by preorder, as one int32 array: level k holds the m - 2^k
+    + 1 windows of width 2^k and starts at k (m + 1) - 2^k + 1."""
+    m = len(depth)
+    level = np.arange(m, dtype=np.int32)
+    levels = [level]
+    half = 1
+    while 2 * half <= m:
+        a = level[: m - 2 * half + 1]
+        b = level[half: m - half + 1]
+        level = np.where(depth[b] < depth[a], b, a)
+        levels.append(level)
+        half *= 2
+    return np.concatenate(levels)
 
 
 def build_nav(blob: HsBlob) -> NavIndex:

@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,13 +45,22 @@ def test_single_node_index():
     assert idx.lca(1, 1) == 1
     assert idx.parent(1) is None
     assert idx.subtree_size(1) == 1
-    assert len(idx.in_starts) == 1
+    # inorder -> (micro, local) is one run
+    mi, loc = idx.batch_select_local([1])
+    assert mi.tolist() == [0] and loc.tolist() == [1]
 
 
 def test_rejects_ordinal_blob():
     blob = hs_encode_ordinal(ordinal_star(5))
     with pytest.raises(MalformedStream):
         build_nav(blob)
+
+
+def _runs(ids):
+    """Maximal runs of equal values in ids, counted per value."""
+    ids = np.asarray(ids)
+    heads = np.flatnonzero(np.diff(ids, prepend=-1) != 0)
+    return Counter(ids[heads].tolist())
 
 
 def test_inorder_intervals_partition(rng):
@@ -57,11 +70,16 @@ def test_inorder_intervals_partition(rng):
         # select over every rank reproduces a permutation: covers [1, n]
         seen = sorted(idx.inorder_select(r) for r in range(1, t.n + 1))
         assert seen == list(range(1, t.n + 1))
-        assert idx.in_starts[0] == 1
-        # at most 3 inorder runs per micro tree
-        from collections import Counter
-        per = Counter(idx.in_micro)
-        assert all(c <= 3 for c in per.values())
+        # every rank maps to a distinct (micro, local) pair: the runs of the
+        # inorder -> micro map partition [1, n] among the local nodes
+        mi, loc = idx.batch_select_local(np.arange(1, t.n + 1))
+        assert len(set(zip(mi.tolist(), loc.tolist()))) == t.n
+        assert mi.min() >= 0 and mi.max() < idx.m and loc.min() >= 1
+        # at most 3 inorder runs, and 3 preorder runs, per micro tree
+        per = _runs(mi)
+        assert all(c <= 3 for c in per.values()) and len(per) == idx.m
+        per = _runs([idx.to_local(v)[0] for v in range(1, t.n + 1)])
+        assert all(c <= 3 for c in per.values()) and len(per) == idx.m
 
 
 def test_oracle_equivalence(rng):
@@ -69,7 +87,8 @@ def test_oracle_equivalence(rng):
         n = rng.randint(1, 512)
         src = rng.choice([S.BstSource(), S.UniformSource(), S.AlmostPathSource(1)])
         t = S.sample(src, n, rng.getrandbits(32))
-        B = rng.choice([None, 1, 2, 3, 6])
+        # blocks of 40 and 200 give micro trees of over 255 nodes
+        B = rng.choice([None, 1, 2, 3, 6, 40, 200])
         cov = decompose_binary(t, B)
         blob = hs_encode_binary(t, cover=cov)
         idx = build_nav(blob) if trial % 2 else NavIndex(cov)
@@ -85,6 +104,43 @@ def test_oracle_equivalence(rng):
             pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(600)]
         for u, v in pairs:
             assert idx.lca(u, v) == lca(u, v)
+        # the batch kernels, on every rank and on the same pairs
+        rank = np.asarray(ann.inorder_rank)
+        mi, loc = idx.batch_select_local(np.arange(1, n + 1))
+        assert idx.batch_inorder_rank(mi, loc).tolist() == list(range(1, n + 1))
+        u, v = (rank[list(x)] for x in zip(*pairs))
+        mi, ul = idx.batch_select_local(u)
+        mj, vl = idx.batch_select_local(v)
+        got = idx.batch_inorder_rank(*idx.batch_lca_local(mi, ul, mj, vl))
+        assert got.tolist() == [ann.inorder_rank[lca(a, b)] for a, b in pairs]
+
+
+def _deep_size(root) -> int:
+    """Bytes of every object reachable from root, each counted once, numpy
+    buffers included; classes, modules and functions left out."""
+    shared = (type, types.ModuleType, types.FunctionType,
+              types.BuiltinFunctionType, types.MethodType)
+    seen, stack, total = set(), [root], 0
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, shared):
+            continue
+        seen.add(id(o))
+        total += sys.getsizeof(o)
+        if isinstance(o, np.ndarray):
+            if o.base is not None:
+                stack.append(o.base)
+            continue
+        stack.extend(gc.get_referents(o))
+    return total
+
+
+def test_index_memory_bound():
+    n = 2 ** 15
+    t = S.sample(S.UniformSource(), n, 11)
+    idx = build_nav(hs_encode_binary(t))
+    per_node = _deep_size(idx) / n
+    assert per_node <= 80, per_node
 
 
 def test_lca_trivial_identities(rng):
@@ -122,6 +178,9 @@ def test_out_of_range():
         idx.lca(0, 3)
     with pytest.raises(IndexError):
         idx.subtree_size(9)
+    for r in ([0], [-1], [6], [1, 6]):
+        with pytest.raises(IndexError):
+            idx.batch_select_local(r)
 
 
 def test_build_smoke_large():
