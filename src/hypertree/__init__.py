@@ -9,8 +9,7 @@ from .cover import (
 )
 from .hypercodec import (
     HsBlob, ShapeCode, build_shape_code, hs_decode_binary, hs_decode_ordinal,
-    hs_encode_binary, hs_encode_ordinal, read_hst, restrict, space_report,
-    write_hst,
+    hs_encode_binary, hs_encode_ordinal, read_hst, space_report, write_hst,
 )
 from .navigate import NavIndex, build_nav
 from .rmq import (

@@ -5,9 +5,9 @@ Writers append bits to a ``BitBuf``, or build a numpy array of 0s and 1s
 and pack it once (``BitBuf.from_array``; ``to_array`` is the inverse).
 Readers never walk a stream bit by bit: ``BitCursor`` takes each field from
 an integer window of the payload bytes, reads a gamma code through the
-``bit_length()`` of a window, and reads a run of equal-width fields as one
-numpy block. The word-RAM model of the source
-paper reads Theta(lg n) bits per step in the same way.
+``bit_length()`` of a window, and gives the window at every bit position of
+a run as one numpy array. The word-RAM model of the source paper reads
+Theta(lg n) bits per step in the same way.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import numpy as np
 class MalformedStream(ValueError):
     """Raised when a decoder hits a truncated or invalid bit stream.
 
-    A blob reader sets ``part``, the blob part it was reading (header, top
-    tier, codebook, codewords, portals, edge types), and ``bit_offset``, the
-    payload bit at which it stood when it found the fault.
+    A blob reader sets ``part``, the blob part it was reading (header, crc,
+    top tier, codebook, codewords), and ``bit_offset``, the payload bit at
+    which it stood when it found the fault.
     """
 
     def __init__(self, msg: str, part: str | None = None,
@@ -198,17 +198,20 @@ class BitCursor:
         self.skip(width)    # first: a width read from a bad stream may be huge
         return self._field(pos, width)
 
-    def read_block(self, count: int, width: int) -> np.ndarray:
-        """``count`` consecutive ``width``-bit fields, read as one int64
-        block. Widths here come from sizes bounded by the stream length, so
-        a field fits."""
-        nbits = count * width
-        pos = self.pos
-        self.skip(nbits)
-        b = pos >> 3
-        raw = np.frombuffer(self._data, np.uint8, ((pos + nbits + 7) >> 3) - b, b)
-        bits = np.unpackbits(raw)[pos & 7:(pos & 7) + nbits].reshape(count, width)
-        return bits @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+    def windows(self, width: int) -> np.ndarray:
+        """The ``width``-bit field (``width`` <= 57) at every unread bit
+        position, zeros past the end, as one uint64 array; the cursor does
+        not move. Each is a shift and mask of the 64-bit word at its byte."""
+        pos, count = self.pos, self._len - self.pos
+        b, off = pos >> 3, pos & 7
+        nbytes = ((pos + count + 7) >> 3) - b
+        raw = np.frombuffer(self._data, np.uint8)
+        words = np.zeros(nbytes, dtype=np.uint64)
+        for j in range(8):
+            words = (words << np.uint64(8)) | raw[b + j:b + j + nbytes]
+        at = np.arange(off, off + count)
+        shift = (64 - width - (at & 7)).astype(np.uint64)
+        return (words[at >> 3] >> shift) & np.uint64((1 << width) - 1)
 
     def read_remaining_int(self) -> tuple[int, int]:
         """Consume all remaining bits; return (value, nbits)."""

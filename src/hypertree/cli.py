@@ -200,7 +200,8 @@ def cmd_bench(args) -> int:
                 "B": cover.B, "m": m,
                 "bitsTotal": p["total"],
                 "bitsPerNode": f"{p['total'] / t.n:.6f}",
-                "headerBits": p["header"], "topTierBits": p["topTierBP"],
+                # the CSV keeps its columns: the CRC counts with the header
+                "headerBits": p["header"] + p["crc"], "topTierBits": p["topTierBP"],
                 "codebookBits": p["codebook"], "codewordBits": p["codewords"],
                 "portalBits": p["portals"], "edgeTypeBits": p["edgeTypes"],
                 "huffmanBits": p["huffman"],

@@ -1,248 +1,268 @@
-"""The compressed tree code: canonical Huffman over occurring micro-tree
-shapes, a length-restricted escape, and the five-part (binary) / six-part
-(ordinal) serialization with portals and parent edge types.
+"""The compressed tree code, format HST2: every micro tree is one symbol of
+a canonical prefix code, its shape together with its per-micro fields, and
+the binary top tier is derived from the symbols, not written.
 
 Blob layout (bit stream, MSB-first):
 
-  binary:  gamma(n+1) gamma(m+1) | BP(top tier) | codebook |
-           restricted codewords in top-tier DFS order | 2 portal fields/micro
-  ordinal: same, with the dummy-rooted top tier, (pos, rank) portal fields,
-           and 3 edge-type bits per micro appended.
+  binary:  gamma(r+1) gamma(n+1) gamma(m+1) | codebook |
+           one codeword per micro tree, in top-tier preorder | CRC-32
+  ordinal: the same, with the BP of the dummy-rooted top tier after the
+           header.
 
-The codebook stores gamma(|alphabet|+1), then per shape in canonical order
-(codeword length ascending, BP string ascending) gamma(size+1), the BP bits,
-and gamma(length+1); canonical codewords are reconstructed from lengths.
-Portal fields are sized from the largest codebook shape so a blob decodes
-without knowing B.
+r counts the bits after its own field, the CRC's included, so the reader
+finds the stream's end and checks the CRC, ``zlib.crc32`` of every bit before
+it (packed MSB-first and zero-padded to a byte), before it parses anything
+else. Only the zero byte padding may follow the CRC.
 
-Both kinds share one writer (``_write_blob``) and one reader
-(``_read_blob``). The writer builds each part as a numpy bit block and packs
-them once: the top tier's BP (``bp_encode_binary`` places each node's open
-paren directly), the codewords by gathering each distinct shape's restricted
-codeword per micro tree, and the portal fields and edge types as fixed-width
-blocks. The reader reads by the word: canonical codewords through a
-first-code/limit table over a peeked window, the top tier's BP with numpy,
-and the portal fields and edge types as fixed-width blocks. After the last
-field only the zero byte padding may remain.
+A symbol is a shape's BP string and its fields: the two portal fields of a
+binary micro tree (1 + the null rank of its first and second portal, 0 for
+none), or the external portal (pos, rank) and the 3-bit parent edge type of
+an ordinal one. The codebook is gamma(k+1) and the k occurring symbols in
+strictly increasing canonical order (codeword length, shape BP, fields):
+per symbol, gamma(1 + its length less the previous one's), gamma(size+1),
+the BP bits, each portal field in ceil(lg(size+2)) bits, and the edge type
+in 3 bits. Canonical codewords follow from the lengths, which are at most
+L = max(16, ceil(lg k)): Huffman's where it is no deeper, else package-merge
+(Larmore & Hirschberg 1990).
 
-A blob holds the same five names as a cover: n, the top tier, the distinct
-shapes' BP strings (the codebook, in canonical order), one shape id per
-micro tree, and the portal fields (see ``cover.BinaryCover``). The writer
-takes them, and the reader returns them; an escaped codeword must name a
-codebook shape. The reader also makes every check that a binary layout
-describes one tree, once and vectorized: the micro sizes add up to n, and
-each portal field matches a top-tier child, names a null of its shape, and
-the first lies below the second. ``hs_decode_binary`` then gathers the
-global ids of ``cover.BinaryPlacement``, which the navigation index reads
-too.
+The binary top tier follows from the symbols: micro trees are numbered in
+top-tier preorder, the first field is set exactly where the top tier has a
+left child, the second where it has a right one, and a lone portal is the
+first. So the reader returns the same five names as a cover, n, the top
+tier, the distinct shapes' BP strings, one shape id per micro tree and the
+portal fields (see ``cover.BinaryCover``), which the writer takes.
+
+The writer finds the distinct symbols with one ``np.unique`` over packed
+(shape id, fields) keys, and writes every part as fixed-width fields of one
+numpy bit block (a gamma code is a field, and so is each BP bit), packed
+once. The reader decodes every codeword through a 2^Lmax table of (symbol,
+length) looked up at every bit position at once, then walks from codeword to
+codeword (Moffat & Turpin 1997), and gathers the shape ids and fields from
+the symbol table. It checks once per distinct symbol that a field names a
+null of its shape and that a second portal lies after the first, and once,
+vectorized, that the micro sizes add up to n and that the portal fields close
+the top tier exactly at the last micro tree. ``hs_decode_binary`` then
+gathers the global ids of ``cover.BinaryPlacement``, which the navigation
+index reads too.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from bisect import bisect_right
+import zlib
 from collections import namedtuple
 
 import numpy as np
 
-from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode
+from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode
 from .cover import (
     EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_EXTERNAL, EDGE_NEW_LEFT, EDGE_NEW_RIGHT,
     BinaryCover, BinaryPlacement, OrdinalCover, decompose_binary, decompose_ordinal,
 )
 from .trees import (
-    BinaryTree, OrdinalTree, bp_decode_binary, bp_decode_ordinal, bp_encode_binary,
+    BinaryTree, OrdinalTree, binary_from_child_flags, bp_decode_ordinal,
     bp_encode_ordinal,
 )
 
-MAGIC = b"HST1"
+MAGIC = b"HST2"
 KIND_BINARY = 0x00
 KIND_ORDINAL = 0x01
+CRC_BITS = 32
+
+
+def _length_cap(k: int) -> int:
+    """The longest codeword of a code over ``k`` symbols: max(16, ceil(lg k))."""
+    return max(16, (k - 1).bit_length())
+
+
+def _code_lengths(weights: list[int]) -> tuple[list[int], int]:
+    """Codeword lengths, in the order of ``weights``, of an optimal prefix
+    code whose codewords are at most ``_length_cap`` bits long, and the total
+    cost of an unrestricted Huffman code.
+
+    Huffman first, with two queues over the sorted weights (ties by index);
+    only where it is deeper than the cap, package-merge: each level's list is
+    the leaves merged with the pairs of the level below, and a leaf's length
+    is the number of levels whose selected prefix holds it.
+    """
+    k = len(weights)
+    if k == 1:
+        return [1], weights[0]
+    order = sorted(range(k), key=weights.__getitem__)
+    ws = [weights[i] for i in order]
+    # nodes 0..k-1 are the sorted leaves, k.. the merges in creation order
+    parent = [0] * (2 * k - 1)
+    merged: list[int] = []
+    a = b = 0
+    for node in range(k, 2 * k - 1):
+        w = 0
+        for _ in (0, 1):
+            if a < k and (b == len(merged) or ws[a] <= merged[b]):
+                w += ws[a]
+                parent[a] = node
+                a += 1
+            else:
+                w += merged[b]
+                parent[k + b] = node
+                b += 1
+        merged.append(w)
+    depth = [0] * (2 * k - 1)
+    for node in range(2 * k - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    cap = _length_cap(k)
+    lengths = depth[:k]
+    if max(lengths) > cap:
+        leaves = np.asarray(ws, dtype=np.int64)
+        level_lists = [(leaves, np.ones(k, dtype=bool))]
+        for _ in range(cap - 1):
+            below = level_lists[-1][0]
+            pairs = below[0:len(below) - 1:2] + below[1::2]
+            items = np.concatenate((leaves, pairs))
+            by = np.argsort(items, kind="stable")
+            level_lists.append((items[by], by < k))
+        lengths = np.zeros(k, dtype=np.int64)
+        take = 2 * k - 2
+        for _, is_leaf in reversed(level_lists):
+            leaf_count = int(is_leaf[:take].sum())
+            lengths[:leaf_count] += 1
+            take = 2 * (take - leaf_count)
+        lengths = lengths.tolist()
+    out = [0] * k
+    for i, length in zip(order, lengths):
+        out[i] = length
+    return out, sum(merged)
 
 
 class ShapeCode:
-    """Canonical Huffman code over micro-tree shapes (keyed by BP string)."""
+    """Canonical prefix code over symbols: BP strings, or any keys that
+    compare with each other, such as the (shape BP, fields) tuples of a
+    blob. Lengths come from ``_code_lengths``; codewords are assigned in
+    canonical order (length, then symbol). ``huffman_bits`` is the cost of
+    the unrestricted Huffman code over ``freq``."""
 
-    def __init__(self, freq: dict[str, int]):
+    def __init__(self, freq: dict):
         if not freq:
-            raise ValueError("need at least one shape")
+            raise ValueError("need at least one symbol")
         self.freq = dict(freq)
-        lengths = _huffman_lengths(self.freq)
-        # canonical order: (codeword length asc, BP string lex asc)
-        self._canonize(sorted(lengths, key=lambda s: (lengths[s], s)), lengths)
+        lengths, self.huffman_bits = _code_lengths(list(self.freq.values()))
+        code_len = dict(zip(self.freq, lengths))
+        self._canonize(sorted(self.freq, key=lambda s: (code_len[s], s)), code_len)
 
-    def _canonize(self, order: list[str], lengths: dict[str, int]) -> None:
-        """Assign canonical codewords in ``order`` and the decode table: per
-        distinct length, the limit of its codewords left-justified to
-        ``max_len`` bits, and the offset from a codeword to its symbol's
-        index in ``order``."""
+    def _canonize(self, order: list, lengths: dict) -> None:
+        """Assign canonical codewords in ``order``, whose lengths do not
+        decrease: left-justified to the longest, each codeword is the sum of
+        the spans 2^(max - length) of the codewords before it."""
         self.order = order
-        self.index = {s: i for i, s in enumerate(order)}
         self.code_len = lengths
-        self.max_len = max(lengths.values())
-        self.codewords: dict[str, tuple[int, int]] = {}
-        self._limits: list[int] = []
-        self._lens: list[int] = []
-        self._offsets: list[int] = []
-        code = 0
-        prev = 0
-        for i, s in enumerate(order):
-            L = lengths[s]
-            code <<= L - prev
-            if code >= (1 << L):
-                raise MalformedStream("codebook lengths violate Kraft")
-            self.codewords[s] = (code, L)
-            if L != prev:
-                self._lens.append(L)
-                self._offsets.append(i - code)
-                self._limits.append(0)
-            code += 1
-            self._limits[-1] = code << (self.max_len - L)
-            prev = L
+        lens = np.array([lengths[s] for s in order], dtype=np.int64)
+        self.max_len = L = int(lens.max())
+        ends = np.cumsum(1 << (L - lens))
+        if ends[-1] > 1 << L:
+            raise MalformedStream("codebook lengths violate Kraft")
+        codes = (ends - (1 << (L - lens))) >> (L - lens)
+        self.codewords = dict(zip(order, zip(codes.tolist(), lens.tolist())))
 
     def kraft_sum(self) -> float:
         return sum(2.0 ** -l for l in self.code_len.values())
 
-    def total_bits(self, freq: dict[str, int] | None = None) -> int:
+    def total_bits(self, freq: dict | None = None) -> int:
         f = self.freq if freq is None else freq
         return sum(self.code_len[s] * c for s, c in f.items())
 
-    def read_codewords(self, cur: BitCursor, m: int) -> list[int]:
-        """Read ``m`` restricted codewords (see ``restrict``) as indices
-        into ``order``; an escape must spell a shape of ``order``.
+    def read_codewords(self, cur: BitCursor, m: int) -> np.ndarray:
+        """Read ``m`` codewords that fill the rest of the cursor's stream,
+        as indices into ``order``.
 
-        The cursor stands at the start of a window of ``span`` bits, of
-        which the low ``have`` are unread; each codeword is decoded from its
-        first 1 + ``max_len`` of them. The left-justified codewords of each
-        length form one interval, so the first length whose limit exceeds
-        them is the codeword's (Moffat & Turpin 1997). Moving the cursor on
-        to a new window checks that the codewords read end in the stream.
+        Each symbol owns the 2^(Lmax - length) entries of a 2^Lmax table
+        that start with its codeword, so one lookup of the Lmax-bit window
+        at a bit position gives the codeword starting there (Moffat &
+        Turpin 1997). The lookups are made at every position at once; the
+        walk from one codeword's start to the next is the one step per
+        micro tree.
         """
         L = self.max_len
-        width = 1 + L
-        span = max(width, 57)
-        wmask, cmask = (1 << width) - 1, (1 << L) - 1
-        limits, lens, offsets = self._limits, self._lens, self._offsets
-        nlim = len(limits)
-        ids = []
-        word, have = cur.peek(span), span
-        for _ in range(m):
-            if have < width:
-                cur.skip(span - have)
-                word, have = cur.peek(span), span
-            win = (word >> (have - width)) & wmask
-            if not win >> L:  # escape
-                cur.skip(span - have + 1)
-                at = cur.pos
-                sid = self.index.get(_read_sized_bp(cur))
-                if sid is None:
-                    raise MalformedStream("escaped shape not in the codebook",
-                                          bit_offset=at)
-                ids.append(sid)
-                word, have = cur.peek(span), span
-                continue
-            win &= cmask
-            k = bisect_right(limits, win)
-            if k == nlim:
-                raise MalformedStream("unknown Huffman codeword",
-                                      bit_offset=cur.pos + span - have)
-            ids.append(offsets[k] + (win >> (L - lens[k])))
-            have -= 1 + lens[k]
-        cur.skip(span - have)
-        return ids
+        lens = np.array([self.code_len[s] for s in self.order], dtype=np.int64)
+        span = 1 << (L - lens)
+        filled = int(span.sum())
+        sym = np.repeat(np.arange(len(lens)), span)
+        length = np.zeros(1 << L, dtype=np.int64)
+        length[:filled] = np.repeat(lens, span)
+        win = cur.windows(L)
+        rest = len(win)
+        if m > rest:
+            raise MalformedStream("more codewords than bits", bit_offset=cur.pos)
+        len_at = np.append(length[win], 0)
+        # memoryviews give and take Python ints without a list of them
+        step = memoryview(np.minimum(np.arange(rest + 1) + len_at, rest))
+        starts = np.empty(m, dtype=np.int64)
+        out = memoryview(starts)
+        p = 0
+        for i in range(m):
+            out[i] = p
+            p = step[p]
+        got = len_at[starts]
+        if not got.all():
+            at = int(starts[np.argmin(got != 0)])
+            msg = "bit stream exhausted" if at == rest else "unknown Huffman codeword"
+            raise MalformedStream(msg, bit_offset=cur.pos + at)
+        end = int(starts[-1] + got[-1])
+        if end != rest:
+            msg = "bit stream exhausted" if end > rest else "trailing data after the last codeword"
+            raise MalformedStream(msg, bit_offset=cur.pos + min(end, rest))
+        cur.skip(rest)
+        return sym[win[starts]]
 
     @classmethod
-    def from_lengths(cls, shapes_and_lengths: list[tuple[str, int]]) -> "ShapeCode":
+    def from_lengths(cls, symbols_and_lengths: list[tuple]) -> "ShapeCode":
+        """The code a codebook lists: (symbol, length) pairs of distinct
+        symbols in strictly increasing canonical order. A length runs from
+        1 to the cap, and to k - 1 for k > 1 symbols, as no optimal code is
+        deeper."""
         obj = cls.__new__(cls)
-        obj.freq = {s: 1 for s, _ in shapes_and_lengths}
-        lengths = dict(shapes_and_lengths)
-        # a Huffman code over k > 1 symbols is no deeper than k - 1; the
-        # bound also keeps a corrupt length from building a huge codeword
-        k = len(shapes_and_lengths)
-        if min(lengths.values()) < 1 or max(lengths.values()) > max(1, k - 1):
+        obj.freq = {s: 1 for s, _ in symbols_and_lengths}
+        obj.huffman_bits = None
+        lengths = dict(symbols_and_lengths)
+        k = len(symbols_and_lengths)
+        longest = min(_length_cap(k), max(1, k - 1))
+        if min(lengths.values()) < 1 or max(lengths.values()) > longest:
             raise MalformedStream("codeword length out of range")
-        order = [s for s, _ in shapes_and_lengths]
-        if sorted(order, key=lambda s: (lengths[s], s)) != order:
-            raise MalformedStream("codebook not in canonical order")
-        obj._canonize(order, lengths)
+        keys = [(l, s) for s, l in symbols_and_lengths]
+        if any(a >= b for a, b in zip(keys, keys[1:])) or len(lengths) < k:
+            raise MalformedStream("codebook not in strictly increasing canonical "
+                                  "order, or a symbol listed twice")
+        obj._canonize([s for s, _ in symbols_and_lengths], lengths)
         return obj
 
 
-def _huffman_lengths(freq: dict[str, int]) -> dict[str, int]:
-    if len(freq) == 1:
-        return {next(iter(freq)): 1}
-    heap = []
-    for tie, (s, f) in enumerate(sorted(freq.items())):
-        heap.append((f, tie, s))
-    heapq.heapify(heap)
-    tie = len(freq)
-    parent: dict[str | int, tuple] = {}
-    nodes = 0
-    while len(heap) > 1:
-        fa, _, a = heapq.heappop(heap)
-        fb, _, b = heapq.heappop(heap)
-        nodes += 1
-        parent[a] = nodes
-        parent[b] = nodes
-        heapq.heappush(heap, (fa + fb, tie, nodes))
-        tie += 1
-    lengths = {}
-    for s in freq:
-        d = 0
-        x: str | int = s
-        while x in parent:
-            x = parent[x]
-            d += 1
-        lengths[s] = d
-    return lengths
-
-
-def build_shape_code(shapes: list[str] | dict[str, int]) -> ShapeCode:
-    """Build the canonical Huffman code for a sequence of shapes (BP strings)."""
+def build_shape_code(shapes: list | dict) -> ShapeCode:
+    """Build the canonical code for a sequence of symbols, or for a dict of
+    symbol frequencies."""
     if isinstance(shapes, dict):
         return ShapeCode(shapes)
-    freq: dict[str, int] = {}
+    freq: dict = {}
     for s in shapes:
         freq[s] = freq.get(s, 0) + 1
     return ShapeCode(freq)
 
 
-def _escape_threshold(size: int) -> int:
-    return 2 * size + 2 * ((size + 1).bit_length() - 1)
-
-
-def _escaped(code: ShapeCode, bp: str) -> bool:
-    """Whether a shape is written as an escape: its codeword is longer than
-    the restricted length allows (or the code lacks it)."""
-    cw = code.codewords.get(bp)
-    return cw is None or cw[1] > _escape_threshold(len(bp) // 2)
-
-
-def restrict(code: ShapeCode, bp: str, out: BitBuf | None = None) -> BitBuf:
-    """Length-restricted codeword: 1*C(shape) or the escape 0*gamma(|s|+1)*BP."""
-    buf = out if out is not None else BitBuf()
-    if _escaped(code, bp):
-        buf.append_bit(0)
-        _write_sized_bp(bp, buf)
-    else:
-        cw = code.codewords[bp]
-        buf.append_bit(1)
-        buf.append_bits(cw[0], cw[1])
-    return buf
-
-
-def _write_sized_bp(bp: str, buf: BitBuf) -> None:
-    """gamma(size+1), then the BP bits of a shape."""
-    gamma_encode(len(bp) // 2 + 1, buf)
-    bits = BitBuf(bp)
-    buf.append_bits(bits.to_int(), len(bits))
-
-
 def _read_sized_bp(cur: BitCursor) -> str:
-    """Inverse of ``_write_sized_bp``: the BP bits are read as one field."""
+    """gamma(size+1), then the BP bits of a shape, read as one field."""
     width = 2 * (gamma_decode(cur) - 1)
     return BitBuf.from_int(cur.read_bits(width), width).to_paren()
+
+
+def _field_width(bp: str) -> int:
+    """Bits of a portal field of a shape: its values run from 0 to size + 1."""
+    return (len(bp) // 2 + 1).bit_length()
+
+
+def _payload_crc(data: bytes, nbits: int) -> int:
+    """``zlib.crc32`` of the first ``nbits`` bits of ``data``, zero-padded
+    to a byte."""
+    whole, rest = divmod(nbits, 8)
+    crc = zlib.crc32(memoryview(data)[:whole])
+    if rest:
+        crc = zlib.crc32(bytes([data[whole] & (0xFF << (8 - rest)) & 0xFF]), crc)
+    return crc
 
 
 class HsBlob:
@@ -265,7 +285,7 @@ class HsBlob:
     @classmethod
     def from_bytes(cls, data: bytes) -> "HsBlob":
         if len(data) < 5 or data[:4] != MAGIC:
-            raise MalformedStream("not a HST1 blob")
+            raise MalformedStream("not a HST2 blob")
         if data[4] == KIND_BINARY:
             kind = "binary"
         elif data[4] == KIND_ORDINAL:
@@ -279,154 +299,205 @@ class HsBlob:
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def _emit_codebook(code: ShapeCode, buf: BitBuf) -> None:
-    gamma_encode(len(code.order) + 1, buf)
-    for s in code.order:
-        _write_sized_bp(s, buf)
-        gamma_encode(code.code_len[s] + 1, buf)
-
-
-def _read_codebook(cur: BitCursor) -> ShapeCode:
-    k = gamma_decode(cur) - 1
-    if k < 1:
-        raise MalformedStream("empty codebook")
-    # (BP string, codeword length) per shape, in canonical order
-    code = ShapeCode.from_lengths(
-        [(_read_sized_bp(cur), gamma_decode(cur) - 1) for _ in range(k)])
-    # each shape is balanced: the excess of all of them in a row never drops
-    # below 0 and is 0 where each ends
-    bits = BitBuf("".join(code.order)).to_array().astype(np.int64)
-    excess = np.cumsum(2 * bits - 1)
-    ends = np.cumsum([len(s) for s in code.order]) - 1
-    if len(bits) and (excess.min() < 0 or excess[ends[ends >= 0]].any()):
-        raise MalformedStream("codebook shape not balanced")
-    return code
-
-
-def _portal_width(code: ShapeCode) -> int:
-    mu_star = max(len(s) // 2 for s in code.order)
-    return max(1, math.ceil(math.log2(mu_star + 2)))
-
-
-def _cover_shapes(cover: BinaryCover | OrdinalCover) -> tuple[list[str], np.ndarray]:
-    """The distinct shape BP strings of a cover and each micro tree's index
-    into them."""
+def _cover_symbols(cover: BinaryCover | OrdinalCover) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct shape BP strings of a cover, each micro tree's index
+    into them, and its fields: the (m, 2) portal fields of a binary cover,
+    or the external portal (pos, rank) and parent edge type, (m, 3), of an
+    ordinal one."""
     if isinstance(cover, BinaryCover):
-        return cover.shape_bps, cover.shape_id
+        return cover.shape_bps, cover.shape_id, cover.fields
     index: dict[str, int] = {}
     ids = [index.setdefault(bp_encode_ordinal(mt.shape).to_paren(), len(index))
            for mt in cover.micro]
-    return list(index), np.asarray(ids, dtype=np.int64)
+    fields = [(*(mt.ext_portal or (0, 0)), mt.parent_edge_type) for mt in cover.micro]
+    return list(index), np.asarray(ids, dtype=np.int64), np.asarray(fields, dtype=np.int64)
 
 
-def _shape_code(shape_bps: list[str], shape_id: np.ndarray) -> ShapeCode:
-    freq = np.bincount(shape_id, minlength=len(shape_bps)).tolist()
-    return build_shape_code(dict(zip(shape_bps, freq)))
+def _symbols(shape_bps: list[str], shape_id: np.ndarray,
+             fields: np.ndarray) -> tuple[list[tuple], np.ndarray, list[int]]:
+    """The distinct (shape BP, *fields) symbols of the micro trees, each
+    micro tree's index into them, and their counts."""
+    rows = np.column_stack((shape_id, fields)).T
+    dims = rows.max(axis=1) + 1
+    # one int64 key per row: np.unique over rows (axis=0) is far slower
+    keys, inverse, counts = np.unique(np.ravel_multi_index(rows, dims),
+                                      return_inverse=True, return_counts=True)
+    uniq = np.column_stack(np.unravel_index(keys, dims)).tolist()
+    symbols = [(shape_bps[r[0]], *r[1:]) for r in uniq]
+    return symbols, inverse, counts.tolist()
 
 
-def _field_block(values, width: int) -> np.ndarray:
-    """Each value as a ``width``-bit field, MSB first, in one bit block."""
-    values = np.asarray(values, dtype=np.int64).reshape(-1, 1)
-    return ((values >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8).ravel()
+def _field_bits(values, widths) -> np.ndarray:
+    """Each value as a field of its width, MSB first, in one bit block."""
+    values, widths = np.asarray(values, dtype=np.int64), np.asarray(widths, dtype=np.int64)
+    ends = np.cumsum(widths)
+    shift = np.repeat(ends, widths) - 1 - np.arange(ends[-1])
+    return ((np.repeat(values, widths) >> shift) & 1).astype(np.uint8)
 
 
-def _write_blob(kind: str, n: int, top_bits: np.ndarray, shape_bps: list[str],
-                shape_id: np.ndarray, fields: np.ndarray, edge_types=()) -> HsBlob:
-    """Serialize either kind from bit blocks, packed once: header, top-tier
-    BP, codebook, restricted codewords (one per distinct shape, gathered per
-    micro tree), one pair of portal fields per micro tree, 3-bit edge types.
-    Micro tree i has shape ``shape_bps[shape_id[i]]`` and portal fields
-    ``fields[i]``."""
+def _gamma_widths(values) -> np.ndarray:
+    """The width of the Elias gamma code of each value x >= 1, 2 lg x + 1:
+    gamma(x) is x as a field of that width, its leading zeros the code's."""
+    return 2 * np.frexp(values)[1] - 1
+
+
+def _codebook_bits(code: ShapeCode) -> np.ndarray:
+    """The codebook as one bit block: gamma(k+1), then per symbol in
+    canonical order gamma(1 + its length less the previous one's),
+    gamma(size+1), the BP bits and the fields (portal fields in
+    ``_field_width`` bits, an edge type in 3), each BP bit a field of width
+    1."""
+    symbols = code.order
+    k, nf = len(symbols), len(symbols[0]) - 1
+    mu = np.array([len(s[0]) // 2 for s in symbols], dtype=np.int64)
+    lens = np.array([code.code_len[s] for s in symbols], dtype=np.int64)
+    gammas = np.array([np.diff(lens, prepend=0) + 1, mu + 1]).T
+    fw = np.frexp(mu + 1)[1]
+    # per symbol: two gamma fields, 2 mu BP bits, then nf fields
+    per = 2 + 2 * mu + nf
+    first = np.cumsum(per) - per + 1
+    values = np.zeros(1 + int(per.sum()), dtype=np.int64)
+    widths = np.ones_like(values)
+    values[0] = k + 1
+    widths[0] = _gamma_widths(k + 1)
+    at = first[:, None] + [0, 1]
+    values[at], widths[at] = gammas, _gamma_widths(gammas)
+    bp_at = np.repeat(first + 2 - np.cumsum(2 * mu) + 2 * mu, 2 * mu) + np.arange(2 * mu.sum())
+    values[bp_at] = BitBuf("".join(s[0] for s in symbols)).to_array()
+    at = (first + 2 + 2 * mu)[:, None] + np.arange(nf)
+    values[at] = [s[1:] for s in symbols]
+    widths[at] = np.column_stack((fw, fw, np.full(k, 3)))[:, :nf]
+    return _field_bits(values, widths)
+
+
+def _write_blob(kind: str, n: int, shape_bps: list[str], shape_id: np.ndarray,
+                fields, top_bits=()) -> HsBlob:
+    """Serialize either kind from bit blocks, packed once: header,
+    [ordinal: top-tier BP,] codebook, one codeword per micro tree (one per
+    distinct symbol, gathered) and the CRC. Micro tree i has shape
+    ``shape_bps[shape_id[i]]`` and fields ``fields[i]`` (see
+    ``_cover_symbols``)."""
     m = len(shape_id)
-    code = _shape_code(shape_bps, shape_id)
-    header = gamma_encode(n + 1)
-    gamma_encode(m + 1, header)
-    codebook = BitBuf()
-    _emit_codebook(code, codebook)
-    words = [restrict(code, s).to_array() for s in shape_bps]
-    lens = np.array([len(wd) for wd in words], dtype=np.int64)
-    table = np.zeros((len(words), int(lens.max())), dtype=np.uint8)
-    for k, wd in enumerate(words):
-        table[k, :len(wd)] = wd
-    codewords = table[shape_id][np.arange(table.shape[1]) < lens[shape_id][:, None]]
-    blocks = {
-        "header": header.to_array(),
-        "topTierBP": top_bits,
-        "codebook": codebook.to_array(),
-        "codewords": codewords,
-        "portals": _field_block(fields, _portal_width(code)),
-        "edgeTypes": _field_block(edge_types, 3),
-    }
-    parts = {name: len(block) for name, block in blocks.items()}
-    bits = np.concatenate(list(blocks.values()))
-    parts["huffman"] = code.total_bits()
-    parts["total"] = len(bits)
+    symbols, inverse, counts = _symbols(shape_bps, shape_id, fields)
+    code = ShapeCode(dict(zip(symbols, counts)))
+    codebook = _codebook_bits(code)
+    words = np.array([code.codewords[s] for s in symbols], dtype=np.int64)
+    codewords = _field_bits(*words[inverse].T)
+    top_bits = np.asarray(top_bits, dtype=np.uint8)
+    # the header starts with the number of bits after its first field
+    sizes = np.array([n + 1, m + 1])
+    rest = (_gamma_widths(sizes).sum() + len(top_bits) + len(codebook) + len(codewords)
+            + CRC_BITS)
+    head = np.append(rest + 1, sizes)
+    header = _field_bits(head, _gamma_widths(head))
+    body = np.concatenate((header, top_bits, codebook, codewords))
+    crc = _payload_crc(np.packbits(body).tobytes(), len(body))
+    bits = np.concatenate((body, _field_bits([crc], [CRC_BITS])))
+    type_bits = 3 * len(symbols) if kind == "ordinal" else 0
+    parts = {"header": len(header), "topTierBP": len(top_bits),
+             "codebook": len(codebook) - type_bits, "codewords": len(codewords),
+             "portals": 0, "edgeTypes": type_bits, "crc": CRC_BITS,
+             "huffman": code.huffman_bits, "total": len(bits)}
     return HsBlob(kind, BitBuf.from_array(bits), parts)
 
 
+def _read_codebook(cur: BitCursor, kind: str) -> ShapeCode:
+    """Read the codebook's symbols and lengths; check that each shape is
+    one balanced BP string and, once per symbol, its fields."""
+    k = gamma_decode(cur) - 1
+    if k < 1:
+        raise MalformedStream("empty codebook")
+    listed = []
+    length = 0
+    for _ in range(k):
+        length += gamma_decode(cur) - 1
+        bp = _read_sized_bp(cur)
+        if not bp:
+            raise MalformedStream("empty micro tree")
+        width = _field_width(bp)
+        sym = (bp, cur.read_bits(width), cur.read_bits(width))
+        if kind == "ordinal":
+            sym += (cur.read_bits(3),)
+        listed.append((sym, length))
+    code = ShapeCode.from_lengths(listed)
+    # each shape is balanced: the excess of all of them in a row never drops
+    # below 0 and is 0 where each ends
+    bps = [s[0] for s in code.order]
+    bits = BitBuf("".join(bps)).to_array().astype(np.int64)
+    excess = np.cumsum(2 * bits - 1)
+    ends = np.cumsum([len(s) for s in bps]) - 1
+    if excess.min() < 0 or excess[ends].any():
+        raise MalformedStream("codebook shape not balanced")
+    fields = np.array([s[1:] for s in code.order], dtype=np.int64)
+    if kind == "binary":
+        mu = np.array([len(s) // 2 for s in bps], dtype=np.int64)
+        if (fields > mu[:, None] + 1).any():
+            raise MalformedStream("portal field past the last null")
+        first, second = fields.T
+        if ((second != 0) & (first >= second)).any():
+            raise MalformedStream("portal fields out of order")
+    elif (fields[:, 2] > EDGE_EXTERNAL).any():
+        raise MalformedStream("bad edge type")
+    return code
+
+
 def _read_blob(blob: HsBlob, kind: str):
-    """Read every part of a blob of ``kind`` and check that only the byte
-    padding follows. Returns (n, top tier, shape BP strings, shape id per
-    micro, portal field pairs as an (m, 2) array, edge type per micro; no
-    edge types for binary). A ``MalformedStream`` from here names the part
+    """Check the CRC, then read every part of a blob of ``kind``. Returns
+    (n, top tier, shape BP strings, shape id per micro, fields per micro;
+    see ``_cover_symbols``). A ``MalformedStream`` from here names the part
     and the payload bit."""
     if blob.kind != kind:
         raise MalformedStream(f"expected a {kind} blob, got {blob.kind}")
     cur = BitCursor(blob.bits)
     part = "header"
     try:
+        end = gamma_decode(cur) - 1 + cur.pos
+        part = "crc"
+        if not cur.pos + CRC_BITS <= end <= len(blob.bits):
+            raise MalformedStream("stream length out of range")
+        BitCursor(blob.bits, end).finish()
+        data = blob.bits.to_bytes()
+        stored = BitCursor(blob.bits, end - CRC_BITS).read_bits(CRC_BITS)
+        if stored != _payload_crc(data, end - CRC_BITS):
+            raise MalformedStream("CRC mismatch", bit_offset=end - CRC_BITS)
+        cur = BitCursor(BitBuf.from_bytes(data, end - CRC_BITS), cur.pos)
+        part = "header"
         n = gamma_decode(cur) - 1
         m = gamma_decode(cur) - 1
         if n < 1 or m < 1:
             raise MalformedStream("bad header")
-        part = "top tier"
-        # the ordinal top tier has a dummy root above the m micro trees
-        width = 2 * m if kind == "binary" else 2 * m + 2
-        top_bits = BitBuf.from_int(cur.read_bits(width), width)
-        top = bp_decode_binary(top_bits) if kind == "binary" else bp_decode_ordinal(top_bits)
-        part = "codebook"
-        code = _read_codebook(cur)
-        part = "codewords"
-        shape_id = np.asarray(code.read_codewords(cur, m), dtype=np.int64)
-        mu = np.array([len(s) // 2 for s in code.order], dtype=np.int64)[shape_id]
-        if mu.min() < 1:
-            raise MalformedStream("empty micro tree")
-        # binary micro trees partition the nodes (ordinal ones share roots)
-        if kind == "binary" and mu.sum() != n:
-            raise MalformedStream("micro tree sizes do not add up to the header size")
-        part = "portals"
-        fields = cur.read_block(2 * m, _portal_width(code)).reshape(m, 2)
-        if kind == "binary":
-            _check_portals(top, mu, fields)
-        types: list[int] = []
+        top = None
         if kind == "ordinal":
-            part = "edge types"
-            types = cur.read_block(m, 3).tolist()
-            if max(types) > EDGE_EXTERNAL:
-                raise MalformedStream("bad edge type")
-        cur.finish()
+            part = "top tier"
+            # the ordinal top tier has a dummy root above the m micro trees
+            top_bits = BitBuf.from_int(cur.read_bits(2 * m + 2), 2 * m + 2)
+            top = bp_decode_ordinal(top_bits)
+        part = "codebook"
+        code = _read_codebook(cur, kind)
+        part = "codewords"
+        sym = code.read_codewords(cur, m)
+        # the distinct shapes, in the order the symbols first name them
+        index: dict[str, int] = {}
+        sym_shape = np.array([index.setdefault(s[0], len(index)) for s in code.order],
+                             dtype=np.int64)
+        shape_bps = list(index)
+        shape_id = sym_shape[sym]
+        fields = np.array([s[1:] for s in code.order], dtype=np.int64)[sym]
+        if kind == "binary":
+            mu = np.array([len(s) // 2 for s in shape_bps], dtype=np.int64)[shape_id]
+            # binary micro trees partition the nodes (ordinal ones share roots)
+            if mu.sum() != n:
+                raise MalformedStream("micro tree sizes do not add up to the header size")
+            has = fields != 0
+            if (has[:, 1] & ~has[:, 0]).any():
+                raise MalformedStream("second portal without a first")
+            top = binary_from_child_flags(has[:, 0], has[:, 1])
     except MalformedStream as exc:
         exc.part = part
         if exc.bit_offset is None:
             exc.bit_offset = cur.pos
         raise
-    return n, top, code.order, shape_id, fields, types
-
-
-def _check_portals(top: BinaryTree, mu: np.ndarray, fields: np.ndarray) -> None:
-    """Check that binary portal fields describe one tree: a field is set
-    exactly where the top tier has that child, names one of the mu + 1 nulls
-    of its shape, and a second portal lies after the first (a lone portal
-    is the first). A layout that passes decodes to a tree of the header's
-    size."""
-    kids = np.array([top.left[1:], top.right[1:]]).T
-    if ((fields != 0) != (kids != 0)).any():
-        raise MalformedStream("portal fields do not match the top tier")
-    if (fields > mu[:, None] + 1).any():
-        raise MalformedStream("portal field past the last null")
-    first, second = fields.T
-    if ((second != 0) & ((first == 0) | (first >= second))).any():
-        raise MalformedStream("portal fields out of order")
+    return n, top, shape_bps, shape_id, fields
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +512,13 @@ def hs_encode_binary(t: BinaryTree, B: int | None = None,
         raise ValueError("cannot encode the empty tree")
     if cover is None:
         cover = decompose_binary(t, B)
-    return _write_blob("binary", cover.n, bp_encode_binary(cover.top_tier).to_array(),
-                       cover.shape_bps, cover.shape_id, cover.fields)
+    return _write_blob("binary", cover.n, cover.shape_bps, cover.shape_id, cover.fields)
 
 
 def parse_binary_blob(blob: HsBlob) -> BinaryLayout:
     """Parse and check the parts of a binary blob without materializing
     the tree: the layout that ``hs_encode_binary`` wrote from the cover."""
-    return BinaryLayout(*_read_blob(blob, "binary")[:5])
+    return BinaryLayout(*_read_blob(blob, "binary"))
 
 
 def hs_decode_binary(blob: HsBlob) -> BinaryTree:
@@ -480,16 +550,15 @@ def hs_encode_ordinal(t: OrdinalTree, B: int | None = None,
         raise ValueError("cannot encode the empty tree")
     if cover is None:
         cover = decompose_ordinal(t, B)
-    fields = [mt.ext_portal or (0, 0) for mt in cover.micro]
-    types = [mt.parent_edge_type for mt in cover.micro]
-    return _write_blob("ordinal", t.n, bp_encode_ordinal(cover.top_tier).to_array(),
-                       *_cover_shapes(cover), fields, types)
+    return _write_blob("ordinal", t.n, *_cover_symbols(cover),
+                       bp_encode_ordinal(cover.top_tier).to_array())
 
 
 def hs_decode_ordinal(blob: HsBlob) -> OrdinalTree:
-    n, top, shape_bps, shape_id, fields, types = _read_blob(blob, "ordinal")
+    n, top, shape_bps, shape_id, fields = _read_blob(blob, "ordinal")
     m = len(shape_id)
-    portals = fields.tolist()
+    portals = fields[:, :2].tolist()
+    types = fields[:, 2].tolist()
 
     # the codebook's shapes decode as one forest; each string must be one tree
     forest = bp_decode_ordinal(BitBuf("".join(shape_bps)), forest=True)
@@ -592,16 +661,14 @@ def space_report(t: BinaryTree | OrdinalTree, B: int | None = None) -> dict[str,
 
 def cover_stats(cover: BinaryCover | OrdinalCover) -> dict:
     """Cover statistics for reports: the number of micro trees, distinct
-    shapes, mean micro-tree size and the number of micro trees whose
-    codeword is written as an escape."""
-    bps, ids = _cover_shapes(cover)
-    code = _shape_code(bps, ids)
-    freq = code.freq
+    shapes, mean micro-tree size and distinct symbols (the codebook's size)."""
+    bps, ids, fields = _cover_symbols(cover)
+    mu = np.array([len(s) // 2 for s in bps], dtype=np.int64)
     return {
         "m": len(ids),
-        "distinctShapes": len(freq),
-        "meanMicroSize": sum(len(s) // 2 * f for s, f in freq.items()) / len(ids),
-        "escapes": sum(f for s, f in freq.items() if _escaped(code, s)),
+        "distinctShapes": len(np.unique(ids)),
+        "meanMicroSize": int(mu[ids].sum()) / len(ids),
+        "distinctSymbols": len(_symbols(bps, ids, fields)[0]),
     }
 
 

@@ -173,6 +173,38 @@ def bp_decode_binary(buf: BitBuf) -> BinaryTree:
     return BinaryTree(n, left.tolist(), right.tolist())
 
 
+def binary_from_child_flags(has_left: np.ndarray, has_right: np.ndarray) -> BinaryTree:
+    """The binary tree whose node v, in preorder, has a left child where
+    ``has_left[v - 1]`` is set and a right child where ``has_right[v - 1]``
+    is; rejects flags that close the tree before the last node or leave
+    child slots open after it.
+
+    Vectorized like ``bp_decode_binary``: the excess after node v is the
+    number of open child slots, 1 plus the sum of (children - 1) so far.
+    Node v's left child is v + 1. Its right slot lies at the excess before
+    v, and is filled by the node after the first later index whose excess
+    is back at that level, which a stable sort by excess lists next.
+    """
+    has_left = np.asarray(has_left, dtype=bool)
+    has_right = np.asarray(has_right, dtype=bool)
+    m = len(has_left)
+    kids = has_left.astype(np.int64) + has_right
+    excess = np.concatenate(([1], 1 + np.cumsum(kids - 1)))
+    if not excess[:m].all():
+        raise MalformedStream("tree closes before its last node")
+    if excess[m]:
+        raise MalformedStream("tree does not close at its last node")
+    order = np.argsort(excess, kind="stable")
+    after = np.empty(m + 1, dtype=np.int64)
+    after[order[:-1]] = order[1:]
+    v = np.arange(1, m + 1)
+    left = np.zeros(m + 1, dtype=np.int64)
+    right = np.zeros(m + 1, dtype=np.int64)
+    left[1:] = np.where(has_left, v + 1, 0)
+    right[1:] = np.where(has_right, after[:m] + 1, 0)
+    return BinaryTree(m, left.tolist(), right.tolist())
+
+
 def bp_encode_ordinal(forest: Forest | OrdinalTree, out: BitBuf | None = None) -> BitBuf:
     """BP_o(t) = "(" BP_o(t_1) ... BP_o(t_k) ")"; concatenated over a forest."""
     buf = out if out is not None else BitBuf()

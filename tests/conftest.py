@@ -56,8 +56,9 @@ def random_bst(rng: random.Random, n: int) -> BinaryTree:
 
 
 def flipped_bst_blob() -> bytes:
-    """A seeded BST blob with bit 60 flipped: its top tier then holds more
-    '(' than its length allows."""
+    """A seeded BST blob with bit 60 flipped: the last bit of the header's
+    stream length, so the CRC is looked for one bit early and a byte of
+    data seems to follow it."""
     raw = bytearray(hs_encode_binary(S.sample(S.BstSource(), 398, 179)).to_bytes())
     raw[60 // 8] ^= 0x80 >> (60 % 8)
     return bytes(raw)

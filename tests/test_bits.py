@@ -79,3 +79,15 @@ def test_bitbuf_text_helpers_match_get():
     for bad in ["2", "10x", "(a)", " 1", "1_0", "0b1", "+1", "1 "]:
         with pytest.raises(ValueError, match="bad bit character"):
             BitBuf(bad)
+
+
+def test_cursor_windows_match_peek(rng):
+    # every start bit within a byte, every width up to 57, zeros past the end
+    for nbits in (1, 7, 8, 9, 64, 131):
+        buf = BitBuf.from_int(rng.getrandbits(nbits), nbits)
+        for pos in range(min(nbits, 9)):
+            for width in (1, 3, 16, 57):
+                cur = BitCursor(buf, pos)
+                got = cur.windows(width).tolist()
+                assert got == [BitCursor(buf, p).peek(width) for p in range(pos, nbits)]
+                assert cur.pos == pos

@@ -4,7 +4,9 @@ import pytest
 
 from conftest import FIGURE_BP, flipped_bst_blob
 from hypertree.cli import main
+from hypertree.cover import decompose_binary
 from hypertree.rmq import rmq_build
+from hypertree.trees import bp_decode_binary, parse_bp
 
 
 def run(*argv):
@@ -46,7 +48,7 @@ def test_decode_rejects_flipped_blob(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     # the reader names the part and the payload bit where it failed
-    assert "in the top tier, at payload bit 38" in err
+    assert "in the crc, at payload bit 1104" in err
 
 
 def test_usage_error_exit_code():
@@ -89,12 +91,20 @@ def test_analyze_figure_tree(tmp_path, capsys):
     assert row["space"]["total"] > 0
     # default B = 1 for 20 nodes: one single-node micro tree per node
     assert row["m"] == 20 and row["distinctShapes"] == 1
-    assert row["meanMicroSize"] == 1.0 and row["escapes"] == 0
+    assert row["meanMicroSize"] == 1.0
+    assert row["distinctSymbols"] == _distinct_symbols(FIGURE_BP, None)
     assert run("analyze", "--block", "3", str(src)) == 0
     row = json.loads(capsys.readouterr().out.strip())
     assert row["B"] == 3 and 1 <= row["distinctShapes"] <= row["m"]
     assert row["meanMicroSize"] == 20 / row["m"]
-    assert 0 <= row["escapes"] <= row["m"]
+    assert row["distinctSymbols"] == _distinct_symbols(FIGURE_BP, 3)
+
+
+def _distinct_symbols(bp: str, B) -> int:
+    """The number of distinct (shape, portal fields) pairs of the cover."""
+    cov = decompose_binary(bp_decode_binary(parse_bp(bp)), B)
+    return len({(cov.shape_bps[k], *f)
+                for k, f in zip(cov.shape_id.tolist(), cov.fields.tolist())})
 
 
 def test_analyze_rejects_source_of_other_kind(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import heapq
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypertree.cover import decompose_binary, decompose_ordinal
 from hypertree import hypercodec
 from hypertree.hypercodec import (
     HsBlob, build_shape_code, hs_decode_binary, hs_decode_ordinal,
-    hs_encode_binary, hs_encode_ordinal, parse_binary_blob, read_hst, restrict,
+    hs_encode_binary, hs_encode_ordinal, parse_binary_blob, read_hst,
     space_report, write_hst,
 )
 from hypertree.trees import (
@@ -53,36 +55,88 @@ def test_huffman_optimal_vs_entropy(rng):
         assert abs(sc.kraft_sum() - 1.0) < 1e-12
 
 
+def _huffman_depth(weights) -> int:
+    """The depth of an unrestricted Huffman code over ``weights``."""
+    heap = [(w, 0) for w in weights]
+    heapq.heapify(heap)
+    depth = 0
+    while len(heap) > 1:
+        wa, da = heapq.heappop(heap)
+        wb, db = heapq.heappop(heap)
+        depth = max(da, db) + 1
+        heapq.heappush(heap, (wa + wb, depth))
+    return depth
+
+
+def _package_merge_cost(weights, cap: int) -> int:
+    """The cost of an optimal code with codewords of at most ``cap`` bits:
+    package-merge over explicit packages of symbol multisets."""
+    leaves = sorted((w, Counter({i: 1})) for i, w in enumerate(weights))
+    level = list(leaves)
+    for _ in range(cap - 1):
+        pairs = [(level[j][0] + level[j + 1][0], level[j][1] + level[j + 1][1])
+                 for j in range(0, len(level) - 1, 2)]
+        level = sorted(leaves + pairs, key=lambda item: item[0])
+    total = Counter()
+    for _, members in level[:2 * len(weights) - 2]:
+        total += members
+    return sum(weights[i] * l for i, l in total.items())
+
+
+def _assert_capped(freq: dict):
+    """Every length is at most the cap L = max(16, ceil(lg k)), the Kraft
+    sum is at most 1, and the code costs what an optimal code of lengths at
+    most L costs; that is Huffman's cost where Huffman is no deeper."""
+    sc = build_shape_code(freq)
+    cap = max(16, math.ceil(math.log2(len(freq))))
+    assert max(sc.code_len.values()) <= cap
+    assert sc.kraft_sum() <= 1.0
+    assert sc.huffman_bits <= sc.total_bits()
+    if _huffman_depth(list(freq.values())) <= cap:
+        assert sc.total_bits() == sc.huffman_bits
+    elif len(freq) > 1:
+        assert sc.total_bits() == _package_merge_cost(list(freq.values()), cap)
+    return sc
+
+
 def test_restrict_arithmetic():
-    # raw codeword longer than the cap: escape costs 1 + gamma(|s|+1) + 2|s|
-    # (exponentially skewed frequencies force a deep Huffman leaf)
+    # exponentially skewed frequencies force Huffman 31 deep: the cap binds
     shapes = {("()" * 10): 1}
     shapes.update({f"x{i:03d}": 2 ** i for i in range(1, 32)})
-    sc = build_shape_code(shapes)
-    bp10 = "()" * 10
-    assert sc.code_len[bp10] > 2 * 10 + 2 * math.floor(math.log2(11))
-    out = restrict(sc, bp10)
-    assert len(out) == 1 + 7 + 20 == 28
-    assert out.to01()[0] == "0"
-    # short codeword passes through: 1 + |C|
-    sc = build_shape_code({"()": 5, "(())()": 1})
-    out = restrict(sc, "()")
-    assert len(out) == 1 + sc.code_len["()"]
-    # empty shape escapes to 0 gamma(1) = "01"
-    sc1 = build_shape_code({"": 1})
-    assert restrict(sc1, "").to01() == "01"
+    assert _huffman_depth(list(shapes.values())) == 31
+    sc = _assert_capped(shapes)
+    assert sc.code_len["()" * 10] == 16 and abs(sc.kraft_sum() - 1.0) < 1e-12
+    assert sc.total_bits() > sc.huffman_bits
+    # a short code passes through: Huffman's lengths, 1 bit each
+    sc = _assert_capped({"()": 5, "(())()": 1})
+    assert sc.code_len == {"()": 1, "(())()": 1}
+    # one symbol gets a 1-bit codeword
+    sc1 = _assert_capped({"": 1})
+    assert sc1.codewords[""] == (0, 1)
 
 
 def test_restricted_length_bound(rng):
-    shapes = {}
-    for i in range(60):
-        t = random_bst(rng, rng.randint(1, 9))
-        shapes[bp_encode_binary(t).to_paren()] = rng.choice([1, 1, 1, 2 ** rng.randint(0, 20)])
-    sc = build_shape_code(shapes)
-    for s in shapes:
-        size = len(s) // 2
-        cap = min(sc.code_len[s], 2 * size + 2 * math.floor(math.log2(size + 1)) + 1) + 1
-        assert len(restrict(sc, s)) <= cap
+    for _ in range(20):
+        shapes = {}
+        for i in range(60):
+            t = random_bst(rng, rng.randint(1, 9))
+            shapes[bp_encode_binary(t).to_paren()] = rng.choice(
+                [1, 1, 1, 2 ** rng.randint(0, 20)])
+        _assert_capped(shapes)
+    # keys that are not strings: the same lengths as string keys
+    freq = [rng.randint(1, 2 ** 20) for _ in range(40)]
+    by_str = build_shape_code({f"s{i:02d}": f for i, f in enumerate(freq)})
+    lengths = [by_str.code_len[f"s{i:02d}"] for i in range(40)]
+    assert [build_shape_code(dict(enumerate(freq))).code_len[i] for i in range(40)] == lengths
+
+
+def test_shape_code_int_and_tuple_keys():
+    # internal nodes of the builder stay apart from the symbols
+    by_str = build_shape_code({"a": 5, "b": 3, "c": 1})
+    for freq in ({0: 5, 1: 3, 2: 1}, {(0, 1): 5, (1, 0): 3, (2, 2): 1}):
+        sc = build_shape_code(freq)
+        assert abs(sc.kraft_sum() - 1.0) < 1e-12
+        assert list(sc.code_len.values()) == list(by_str.code_len.values()) == [1, 2, 2]
 
 
 def test_binary_roundtrip_small_and_chains(rng):
@@ -131,7 +185,7 @@ def test_blob_bytes_and_file(tmp_path, rng):
     assert back.kind == "binary"
     assert hs_decode_binary(back) == t
     raw = blob.to_bytes()
-    assert raw[:4] == b"HST1" and raw[4] == 0
+    assert raw[:4] == b"HST2" and raw[4] == 0
     with pytest.raises(MalformedStream):
         HsBlob.from_bytes(b"NOPE" + raw[4:])
 
@@ -152,40 +206,53 @@ def test_space_report_consistency(rng):
     rep = space_report(t)
     blob = hs_encode_binary(t)
     assert rep["total"] == len(blob)
-    parts = ["header", "topTierBP", "codebook", "codewords", "portals", "edgeTypes"]
+    parts = ["header", "topTierBP", "codebook", "codewords", "portals", "edgeTypes",
+             "crc"]
     assert sum(rep[k] for k in parts) == rep["total"]
+    assert rep["crc"] == 32
     t2 = ordinal_star(500)
     rep2 = space_report(t2)
     assert sum(rep2[k] for k in parts) == rep2["total"]
-    assert rep2["edgeTypes"] > 0 and rep2["edgeTypes"] % 3 == 0
+    # one 3-bit parent edge type per codebook symbol
+    stats = hypercodec.cover_stats(decompose_ordinal(t2))
+    assert rep2["edgeTypes"] == 3 * stats["distinctSymbols"] > 0
 
 
 def test_space_report_single_micro(rng):
     t = random_bst(rng, 5)
     rep = space_report(t, 8)
-    # one micro tree: the codeword part is a single restricted codeword
-    sc = build_shape_code([bp_encode_binary(t).to_paren()])
-    assert rep["codewords"] == len(restrict(sc, bp_encode_binary(t).to_paren()))
+    # one micro tree, one symbol: the codeword part is its 1-bit codeword
+    sc = _assert_capped(Counter(_symbols(decompose_binary(t, 8))))
+    assert list(sc.code_len.values()) == [1]
+    assert rep["codewords"] == rep["huffman"] == 1
 
 
 def test_length_restriction_sum(rng):
-    # sum of restricted codewords <= sum of plain Huffman codewords + m
+    # the codewords cost what the blob's own symbols' capped code costs,
+    # which is the Huffman total wherever the cap does not bind
     for _ in range(30):
         t = random_bst(rng, rng.randint(50, 2000))
         cov = decompose_binary(t, rng.choice([None, 2, 4]))
         blob = hs_encode_binary(t, cover=cov)
-        m = len(cov.micro)
-        assert blob.parts["codewords"] <= blob.parts["huffman"] + m
+        freq = Counter(_symbols(cov))
+        sc = _assert_capped(freq)
+        assert blob.parts["codewords"] == sc.total_bits()
+        assert blob.parts["huffman"] == sc.huffman_bits
+        if _huffman_depth(list(freq.values())) <= 16:
+            assert blob.parts["codewords"] == blob.parts["huffman"]
 
 
 def test_huffman_beats_dfs_competitor(rng):
+    # the shape-only code over the cover, as criterion 3 builds it
     bst = S.BstSource()
     for _ in range(15):
         t = S.sample(bst, rng.randint(500, 5000), rng.getrandbits(32))
         cov = decompose_binary(t)
-        blob = hs_encode_binary(t, cover=cov)
-        comp = sum(S.dfs_code_length(bst, mt.shape) for mt in cov.micro)
-        assert blob.parts["huffman"] <= comp + 1e-6
+        freq = np.bincount(cov.shape_id, minlength=len(cov.shape_bps))
+        code = build_shape_code(dict(zip(cov.shape_bps, freq.tolist())))
+        comp = sum(S.dfs_code_length(bst, cov.shapes[k]) * int(c)
+                   for k, c in enumerate(freq))
+        assert code.total_bits() <= comp + 1e-6
 
 
 def _micro_bps(layout) -> list[str]:
@@ -200,10 +267,9 @@ def _assert_parsed_is_cover(parsed, cov):
     assert np.array_equal(parsed.fields, cov.fields)
 
 
-def _escapes(cov) -> int:
-    shapes = _micro_bps(cov)
-    code = build_shape_code(shapes)
-    return sum(1 for s in shapes if restrict(code, s).get(0) == 0)
+def _symbols(cov) -> list[tuple]:
+    """Each micro tree's joint symbol: its shape BP and its portal fields."""
+    return [(bp, *f) for bp, f in zip(_micro_bps(cov), cov.fields.tolist())]
 
 
 def test_parse_matches_layout_every_binary_source(rng):
@@ -221,16 +287,17 @@ def test_parse_matches_layout_every_binary_source(rng):
                 cov = decompose_binary(t, B)
                 _assert_parsed_is_cover(
                     parse_binary_blob(hs_encode_binary(t, cover=cov)), cov)
-    # a blob with escaped micro trees
+    # a blob with symbols of frequency 1
     t = S.sample(S.parse_source("binomial"), 1500, 3)
     cov = decompose_binary(t, 6)
-    assert _escapes(cov) > 0
+    assert 1 in Counter(_symbols(cov)).values()
     _assert_parsed_is_cover(parse_binary_blob(hs_encode_binary(t, cover=cov)), cov)
 
 
 def test_cover_stats_match_layout():
-    # binary covers with and without escapes, then an ordinal cover
-    escapes = []
+    # binary covers with and without symbols of frequency 1, then an
+    # ordinal cover
+    rare = []
     for t, B in ((S.sample(S.parse_source("binomial"), 1500, 3), 6),
                  (S.sample(S.UniformSource(), 700, 2), None)):
         cov = decompose_binary(t, B)
@@ -238,15 +305,18 @@ def test_cover_stats_match_layout():
         stats = hypercodec.cover_stats(cov)
         assert stats == {"m": len(shapes), "distinctShapes": len(set(shapes)),
                          "meanMicroSize": t.n / len(shapes),
-                         "escapes": _escapes(cov)}
-        escapes.append(stats["escapes"])
-    assert escapes[0] > 0
+                         "distinctSymbols": len(set(_symbols(cov)))}
+        rare.append(1 in Counter(_symbols(cov)).values())
+    assert rare[0]
     cov = decompose_ordinal(S.sample(S.LrmSource(), 400, 4), 3)
     stats = hypercodec.cover_stats(cov)
     assert stats["m"] == len(cov.micro)
     assert stats["meanMicroSize"] == sum(mt.size for mt in cov.micro) / len(cov.micro)
     assert stats["distinctShapes"] == len(
         {bp_encode_ordinal(mt.shape).to01() for mt in cov.micro})
+    assert stats["distinctSymbols"] == len(
+        {(bp_encode_ordinal(mt.shape).to01(), mt.ext_portal, mt.parent_edge_type)
+         for mt in cov.micro})
 
 
 def test_parse_one_shape_codebook():
@@ -254,28 +324,28 @@ def test_parse_one_shape_codebook():
     cov = decompose_binary(t, 1)
     assert set(_micro_bps(cov)) == {"()"}
     blob = hs_encode_binary(t, cover=cov)
-    assert blob.parts["codewords"] == 2 * 50   # a set flag and the 1-bit codeword
+    # two symbols, with and without a left child, of 1-bit codewords
+    assert len(set(_symbols(cov))) == 2
+    assert blob.parts["codewords"] == 50
     _assert_parsed_is_cover(parse_binary_blob(blob), cov)
     assert hs_decode_binary(blob) == t
 
 
 def test_parse_codewords_longer_than_a_window(monkeypatch):
-    # A complete but maximally skewed code: lengths 1, 2, ..., k-1, k-1, the
-    # longest for the smallest shape (escaped) and then the largest ones.
-    def skewed(freq):
-        order = sorted(freq, key=lambda s: (len(s), s))
-        order = order[1:] + order[:1]
-        return {s: min(i + 1, len(order) - 1) for i, s in enumerate(order)}
+    # A maximally skewed code at the cap: lengths 1, 2, ..., j, and every
+    # other symbol at the cap L = 16, so most codewords are as wide as the
+    # decode table's window.
+    def skewed(weights):
+        k = len(weights)
+        j = max(j for j in range(1, 16) if k - j <= 2 ** (16 - j))
+        return [i + 1 if i < j else 16 for i in range(k)], 0
 
-    monkeypatch.setattr(hypercodec, "_huffman_lengths", skewed)
+    monkeypatch.setattr(hypercodec, "_code_lengths", skewed)
     t = S.sample(S.UniformSource(), 3000, 11)
     cov = decompose_binary(t, 40)
-    shapes = _micro_bps(cov)
-    code = build_shape_code(shapes)
-    assert code.max_len > 64
-    assert any(code.code_len[s] > 64 and restrict(code, s).get(0) == 1
-               for s in shapes)
-    assert _escapes(cov) > 0
+    code = build_shape_code(_symbols(cov))
+    assert code.max_len == 16 and len(code.order) > 16
+    assert sum(l == 16 for l in code.code_len.values()) > len(code.order) // 2
     blob = hs_encode_binary(t, cover=cov)
     _assert_parsed_is_cover(parse_binary_blob(blob), cov)
     assert hs_decode_binary(HsBlob.from_bytes(blob.to_bytes())) == t
@@ -287,6 +357,10 @@ def test_codebook_rejects_out_of_range_lengths():
         with pytest.raises(MalformedStream):
             ShapeCode.from_lengths(lengths)
     assert ShapeCode.from_lengths([("(())", 1), ("()", 1)]).max_len == 1
+    # strictly increasing (length, symbol) order still lets a symbol appear
+    # twice with two lengths
+    with pytest.raises(MalformedStream, match="listed twice"):
+        ShapeCode.from_lengths([("()", 1), ("(())", 2), ("()", 2)])
 
 
 def test_two_portals_at_one_null_rejected():
@@ -306,13 +380,33 @@ def test_two_portals_at_one_null_rejected():
     j = next(j for j in range(len(swapped)) if swapped[j, 1])
     swapped[j] = swapped[j, ::-1]
     for c, fields in ((cov, same), (swap_cov, swapped)):
-        blob = hypercodec._write_blob(
-            "binary", c.n, bp_encode_binary(c.top_tier).to_array(),
-            c.shape_bps, c.shape_id, fields)
+        blob = hypercodec._write_blob("binary", c.n, c.shape_bps, c.shape_id, fields)
         for decode in (build_nav, hs_decode_binary):
             with pytest.raises(MalformedStream) as info:
                 decode(blob)
-            assert info.value.part == "portals"
+            assert info.value.part == "codebook"
+
+
+def test_top_tier_flags_rejected():
+    # portal fields that close the top tier before the last micro tree,
+    # leave it open after it, or set a second portal without a first
+    from hypertree.navigate import build_nav
+    t = S.sample(S.BstSource(), 500, 6)
+    cov = decompose_binary(t, 3)
+    early = cov.fields.copy()
+    early[0] = 0
+    late = cov.fields.copy()
+    late[-1, 0] = 1
+    lone = cov.fields.copy()
+    i = next(i for i in range(len(lone)) if lone[i, 0] and not lone[i, 1])
+    lone[i] = lone[i, ::-1]
+    for fields, msg in ((early, "closes before"), (late, "does not close"),
+                        (lone, "second portal without a first")):
+        blob = hypercodec._write_blob("binary", cov.n, cov.shape_bps, cov.shape_id, fields)
+        for decode in (build_nav, hs_decode_binary):
+            with pytest.raises(MalformedStream, match=msg) as info:
+                decode(HsBlob.from_bytes(blob.to_bytes()))
+            assert info.value.part == "codewords"
 
 
 # Binary blobs of every binary source at several block sizes, one large
@@ -323,7 +417,7 @@ PINNED_SOURCES = [("bst", 300), ("uniform", 300), ("binomial:0.5", 300),
                   ("avl-size", 30), ("avl-height", 6), ("llrb", 20),
                   ("wb:2/7", 25), ("motzkin", 300),
                   ("memoryless:0.25,0.25,0.25,0.25", 300)]
-PINNED_SHA256 = "31ef7b352fd1ccbe519c0240353bb8816df2e2b416f38111ed8df78dea937edd"
+PINNED_SHA256 = "8892bb42189c2097a9717f868a68a1b231c037cd9f2e22f14b2e7769c5b181df"
 
 
 def test_binary_format_pinned():
@@ -345,3 +439,13 @@ def test_binary_format_pinned():
         h.update(blob.to_bytes())
         h.update(json.dumps(blob.parts, sort_keys=True).encode())
     assert h.hexdigest() == PINNED_SHA256
+
+
+def test_default_blob_below_bp():
+    # at the default B, seeded 2^14-node blobs cost less than the 2n-bit BP
+    # string: a BST and a uniform tree
+    for src, bound in ((S.BstSource(), 2.2), (S.UniformSource(), 2.4)):
+        t = S.sample(src, 2 ** 14, S.derive_seed("below-bp", src.name, 0))
+        blob = hs_encode_binary(t)
+        assert 8 * len(blob.to_bytes()) / t.n <= bound
+        assert hs_decode_binary(HsBlob.from_bytes(blob.to_bytes())) == t
