@@ -4,7 +4,7 @@ tree-source models with exact log-probabilities."""
 
 from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode
 from .cover import (
-    BinaryCover, CoverStats, MicroTree, OrdinalCover, decompose_binary,
+    BinaryCover, CoverStats, OrdinalCover, decompose_binary,
     decompose_ordinal, default_block, validate_cover,
 )
 from .hypercodec import (

@@ -129,18 +129,22 @@ def cmd_analyze(args) -> int:
 
 
 def _cover_dump(cover):
+    """Per micro tree: its nodes, and its portals' null ranks or its parent
+    edge type and external portal."""
+    members, starts = cover.members.tolist(), cover.starts.tolist()
+    binary = isinstance(cover.top_tier, BinaryTree)
     out = []
-    for i, mt in enumerate(cover.micro):
-        d = {"i": i, "root": mt.root_global, "nodes": mt.local_to_global[1:]}
-        if isinstance(cover.top_tier, BinaryTree):
-            if mt.left_portal is not None:
-                d["leftPortal"] = mt.left_portal
-            if mt.right_portal is not None:
-                d["rightPortal"] = mt.right_portal
+    for i, f in enumerate(cover.fields.tolist()):
+        nodes = members[starts[i]:starts[i + 1]]
+        d = {"i": i, "root": nodes[0], "nodes": nodes}
+        if binary:
+            for key, field in zip(("leftPortal", "rightPortal"), f):
+                if field:
+                    d[key] = field - 1
         else:
-            d["edgeType"] = mt.parent_edge_type
-            if mt.ext_portal is not None:
-                d["extPortal"] = list(mt.ext_portal)
+            d["edgeType"] = f[2]
+            if f[0]:
+                d["extPortal"] = f[:2]
         out.append(d)
     return out
 
@@ -188,16 +192,14 @@ def cmd_bench(args) -> int:
             if isinstance(t, BinaryTree):
                 cover = decompose_binary(t, args.block)
                 blob = hs_encode_binary(t, cover=cover)
-                m = len(cover.shape_id)
             else:
                 cover = decompose_ordinal(t, args.block)
                 blob = hs_encode_ordinal(t, cover=cover)
-                m = len(cover.micro)
             p = blob.parts
             lp = source.log_prob(t)
             rows.append({
                 "source": args.source, "n": t.n, "replicate": rep, "seed": seed,
-                "B": cover.B, "m": m,
+                "B": cover.B, "m": len(cover.shape_id),
                 "bitsTotal": p["total"],
                 "bitsPerNode": f"{p['total'] / t.n:.6f}",
                 # the CSV keeps its columns: the CRC counts with the header

@@ -9,12 +9,14 @@ may share nodes, but only as the common root of every component containing
 them; a node at which a seal happened never travels upward, which is what
 keeps that invariant.
 
-The binary cover is arrays, after Farzan & Munro's statement of the cover as
-arrays of micro-tree records. The greedy loop keeps one "merged into"
-pointer per component and a flat list of (node, side) portals; the pointers
-are resolved by numpy pointer jumping, micro trees are numbered by the
-preorder of their roots (the top tier's preorder), and each gets a shape id
-from the bytes of its (size, local left children, local right children) row.
+Both covers are arrays, after Farzan & Munro's statement of the cover as
+arrays of micro-tree records, with the same names (``_Cover``). The binary
+greedy loop keeps one "merged into" pointer per component and a flat list of
+(node, side) portals; the pointers are resolved by numpy pointer jumping,
+micro trees are numbered by the preorder of their roots (the top tier's
+preorder), and each gets a shape id from the bytes of its (size, local left
+children, local right children) row. An ordinal micro tree's row is its
+size and the local parent of each node.
 
 A binary layout is five names: ``n``, ``top_tier``, ``shape_bps`` (the
 distinct shapes' BP strings), ``shape_id`` (one per micro tree) and
@@ -23,18 +25,16 @@ portal in preorder, 0 for none). ``BinaryCover`` has them, and so does what
 ``hypercodec.parse_binary_blob`` reads from a blob. ``ShapeTables`` holds
 the per-shape tables, built once per distinct shape; ``BinaryPlacement``
 computes from a layout where every micro tree and portal sits in the tree,
-which both the decoder and the navigation index read. ``BinaryCover.micro``
-is a list of ``MicroTree`` views, built on first read, for validation,
-reports and tests. The ordinal decomposition builds ``MicroTree`` objects
-directly.
+which the decoder, the navigation index and the validator read.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from collections.abc import Sequence
+from collections import namedtuple
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +59,16 @@ def _gc_paused():
             gc.enable()
 
 
+def _follow(ptr: np.ndarray) -> np.ndarray:
+    """Where each chain of pointers ends (a fixed point), by pointer
+    jumping; the pointers must form no cycle but fixed points."""
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            return ptr
+        ptr = nxt
+
+
 def default_block(n: int) -> int:
     """Block parameter B = max(1, ceil(lg(n)/8))."""
     if n <= 1:
@@ -66,123 +76,46 @@ def default_block(n: int) -> int:
     return max(1, math.ceil(math.log2(n) / 8))
 
 
-class MicroTree:
-    """One micro tree: local shape plus its connections to other micro trees.
-
-    Portal null ranks are 0-based in the left-to-right (inorder) order of the
-    local shape's null pointers.
-    """
-
-    __slots__ = (
-        "shape", "local_to_global", "root_global",
-        "left_portal", "right_portal", "left_slot", "right_slot",
-        "left_child", "right_child",
-        "ext_portal", "ext_children", "left_groups", "right_groups",
-        "shared_root", "parent_edge_type",
-    )
-
-    def __init__(self, shape, local_to_global: list[int]):
-        self.shape = shape
-        self.local_to_global = local_to_global  # local node j -> global id; [0] unused
-        self.root_global = local_to_global[1]
-        self.left_portal: int | None = None
-        self.right_portal: int | None = None
-        self.left_slot: tuple[int, int] | None = None   # (local node, 0=L 1=R)
-        self.right_slot: tuple[int, int] | None = None
-        self.left_child: int | None = None              # micro index
-        self.right_child: int | None = None
-        self.ext_portal: tuple[int, int] | None = None  # (local preorder pos, child rank)
-        # ordinal attachments; tuples until set, so a binary view allocates
-        # no empty lists per micro tree
-        self.ext_children: Sequence[int] = ()
-        self.left_groups: Sequence[Sequence[int]] = ()
-        self.right_groups: Sequence[Sequence[int]] = ()
-        self.shared_root = False
-        self.parent_edge_type: int | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.local_to_global) - 1
+CoverStats = namedtuple("CoverStats", "m heavy_count max_light_trees")
 
 
-class CoverStats:
-    __slots__ = ("m", "heavy_count", "max_light_trees")
+class _Cover:
+    """The arrays of a cover, shared by both tree kinds. Micro trees are
+    numbered in top-tier preorder, which is the preorder of their roots in
+    the tree.
 
-    def __init__(self, m, heavy_count, max_light_trees):
-        self.m = m
-        self.heavy_count = heavy_count
-        self.max_light_trees = max_light_trees
-
-    def __repr__(self):
-        return (f"CoverStats(m={self.m}, heavy_count={self.heavy_count}, "
-                f"max_light_trees={self.max_light_trees})")
-
-
-class BinaryCover:
-    """A binary cover as arrays, and a binary layout (see the module
-    docstring). Micro trees are numbered in top-tier preorder, which is the
-    preorder of their roots in the tree.
-
-    - ``node_micro[v]``: the micro tree of node v (entry 0 unused);
     - ``members[starts[i]:starts[i + 1]]``: the nodes of micro i in local
-      preorder, so its root is ``members[starts[i]]``;
-    - ``shape_id[i]`` indexes ``shapes`` (the distinct local shapes) and
-      ``shape_bps`` (their BP strings);
-    - ``fields[i]``: the first and second portal of micro i in preorder, each
-      1 + its null rank in the shape (0 for none). The top tier's left child
-      of micro i hangs from the first portal and its right child from the
-      second.
-
-    ``micro`` is a list of ``MicroTree`` views, built on first read.
+      preorder (ascending ids), so its root is ``members[starts[i]]``;
+    - ``shape_id[i]`` indexes ``shape_bps``, the BP strings of the distinct
+      local shapes;
+    - ``fields[i]``: the micro tree's connections, one row per micro tree.
     """
 
-    __slots__ = ("top_tier", "B", "n", "node_micro", "members", "starts",
-                 "shape_id", "shapes", "shape_bps", "fields", "_micro")
+    __slots__ = ("top_tier", "B", "n", "members", "starts", "shape_id",
+                 "shape_bps", "fields")
 
-    def __init__(self, top_tier, B, n, node_micro, members, starts, shape_id,
-                 shapes, shape_bps, fields):
-        self.top_tier: BinaryTree = top_tier
+    def __init__(self, top_tier, B, n, members, starts, shape_id, shape_bps, fields):
+        self.top_tier = top_tier
         self.B = B
         self.n = n
-        self.node_micro = node_micro
         self.members = members
         self.starts = starts
         self.shape_id = shape_id
-        self.shapes: list[BinaryTree] = shapes
         self.shape_bps: list[str] = shape_bps
         self.fields = fields
-        self._micro: list[MicroTree] | None = None
 
-    @property
-    def micro(self) -> list[MicroTree]:
-        if self._micro is None:
-            with _gc_paused():
-                self._micro = self._micro_view()
-        return self._micro
 
-    def _micro_view(self) -> list[MicroTree]:
-        members = self.members.tolist()
-        starts = self.starts.tolist()
-        fields = self.fields.tolist()
-        tables = ShapeTables(self.shape_bps)
-        nulls = self.shape_id[:, None], self.fields - 1   # read where set
-        pnode = tables.null_node[nulls].tolist()
-        pside = tables.null_side[nulls].tolist()
-        children = (self.top_tier.left, self.top_tier.right)
-        out = []
-        for i, sid in enumerate(self.shape_id.tolist()):
-            mt = MicroTree(self.shapes[sid], [0] + members[starts[i]:starts[i + 1]])
-            for k in (0, 1):
-                if not fields[i][k]:
-                    continue
-                slot = (pnode[i][k], pside[i][k])
-                rank, child = fields[i][k] - 1, children[k][i + 1] - 1
-                if k == 0:
-                    mt.left_slot, mt.left_portal, mt.left_child = slot, rank, child
-                else:
-                    mt.right_slot, mt.right_portal, mt.right_child = slot, rank, child
-            out.append(mt)
-        return out
+class BinaryCover(_Cover):
+    """A binary cover as arrays, and a binary layout (see the module
+    docstring). Micro trees partition the nodes; shape ids number the
+    distinct shapes in the byte order of their rows. ``fields[i]`` is the
+    first and second portal of micro i in preorder, each 1 + its null rank
+    in the shape (0 for none). The top tier (a ``BinaryTree`` over the m
+    micro trees) has micro i's left child hanging from the first portal and
+    its right child from the second.
+    """
+
+    __slots__ = ()
 
 
 class ShapeTables:
@@ -295,12 +228,7 @@ class BinaryPlacement:
         self.side = tables.null_side[sid, rank]
         # a subtree ends at its last node in preorder: follow the last child
         ids = np.arange(m)
-        last = np.where(has[1], child[1], np.where(has[0], child[0], ids))
-        while True:
-            nxt = last[last]
-            if (nxt == last).all():
-                break
-            last = nxt
+        last = _follow(np.where(has[1], child[1], np.where(has[0], child[0], ids)))
         ends = np.concatenate(([0], np.cumsum(mu)))
         self.hang = hang = ends[last + 1] - ends[:-1]
         self.sub = sub = np.where(has, hang[child], 0)
@@ -330,26 +258,49 @@ class BinaryPlacement:
             g = g + np.where(self.thr[k][i] <= x, self.sub[k][i], 0)
         return g
 
+    def local_nodes(self):
+        """Every local node, micro tree by micro tree in local preorder, as
+        arrays of its micro tree, local preorder id and global preorder id."""
+        micro = np.repeat(np.arange(len(self.mu)), self.mu)
+        x = np.arange(1, len(micro) + 1) - (np.cumsum(self.mu) - self.mu)[micro]
+        return micro, x, self.global_id(micro, x)
 
-class OrdinalCover:
-    __slots__ = ("micro", "top_tier", "B", "n", "node_micros")
+    def children(self) -> np.ndarray:
+        """The left and right child of every node by global id, a (2, n + 1)
+        array: a local child's id follows from the placement, the left one
+        is always the next id, and a portal's child is the root of the micro
+        tree hanging there."""
+        micro, x, g = self.local_nodes()
+        s = self.sid[micro]
+        rx = self.tables.right[s, x]
+        kids = np.zeros((2, len(g) + 1), dtype=np.int64)
+        kids[0, g] = np.where(self.tables.left[s, x] != 0, g + 1, 0)
+        kids[1, g] = np.where(rx != 0, self.global_id(micro, rx), 0)
+        k, i = np.nonzero(self.has)
+        kids[self.side[k, i], self.global_id(i, self.owner[k, i])] = self.root_pre[self.child[k, i]]
+        return kids
 
-    def __init__(self, micro, top_tier, B, n, node_micros):
-        self.micro: list[MicroTree] = micro        # in top-tier preorder
-        self.top_tier: OrdinalTree = top_tier      # has a dummy root
-        self.B = B
-        self.n = n
-        self.node_micros: list[list[int]] = node_micros
+
+class OrdinalCover(_Cover):
+    """An ordinal cover as arrays (see ``_Cover``). Micro trees share a node
+    only as the root of each. Shape ids number the distinct shapes in the
+    order the micro trees first name them. ``fields[i]`` is micro i's
+    external portal, its local preorder id and the 1-based child rank at
+    which the external children go in ((0, 0) for none), and its parent
+    edge type (``EDGE_*``). The top tier is an ``OrdinalTree`` with a dummy
+    root, node 1; micro i is node i + 2.
+    """
+
+    __slots__ = ()
 
 
 class _Comp:
     """A component of the ordinal decomposition."""
 
-    __slots__ = ("members", "edges", "permanent", "left_att", "right_att", "ext_att")
+    __slots__ = ("members", "permanent", "left_att", "right_att", "ext_att")
 
     def __init__(self, members):
         self.members = members
-        self.edges: list[tuple[int, int]] = []     # local (parent, child) edges
         self.permanent = False
         self.left_att: list[list["_Comp"]] = []
         self.right_att: list[list["_Comp"]] = []
@@ -422,12 +373,7 @@ def decompose_binary(t: BinaryTree, B: int | None = None) -> BinaryCover:
 def _finalize_binary(t: BinaryTree, B: int, comp_of, into, pnode, pside) -> BinaryCover:
     n = t.n
     # resolve each node's component through the merge pointers
-    into = np.asarray(into, dtype=np.int64)
-    while True:
-        nxt = into[into]
-        if np.array_equal(nxt, into):
-            break
-        into = nxt
+    into = _follow(np.asarray(into, dtype=np.int64))
     comp = into[np.asarray(comp_of, dtype=np.int64)]
     left = np.asarray(t.left, dtype=np.int64)
     right = np.asarray(t.right, dtype=np.int64)
@@ -467,13 +413,13 @@ def _finalize_binary(t: BinaryTree, B: int, comp_of, into, pnode, pside) -> Bina
     _, first, shape_id = np.unique(keys, return_index=True, return_inverse=True)
     shape_id = shape_id.reshape(-1)
 
-    # per distinct shape: the tree and its BP
-    shapes: list[BinaryTree] = []
+    # per distinct shape: its BP
+    shape_bps = []
     for i in first.tolist():
         mu = int(sizes[i])
-        shapes.append(BinaryTree(mu, [0] + rows[i, 1:mu + 1].tolist(),
-                                 [0] + rows[i, w + 1:w + mu + 1].tolist()))
-    shape_bps = [bp_encode_binary(sh).to_paren() for sh in shapes]
+        shape = BinaryTree(mu, [0] + rows[i, 1:mu + 1].tolist(),
+                           [0] + rows[i, w + 1:w + mu + 1].tolist())
+        shape_bps.append(bp_encode_binary(shape).to_paren())
 
     # portals in (owner, null rank) order, which is their preorder; a micro
     # tree's first portal holds its top-tier left child, the second its right
@@ -496,13 +442,14 @@ def _finalize_binary(t: BinaryTree, B: int, comp_of, into, pnode, pside) -> Bina
     kids = np.zeros((2, m + 1), dtype=np.int64)
     kids[k, owner + 1] = child + 1
     top = BinaryTree(m, *kids.tolist())
-    return BinaryCover(top, B, n, node_micro, members, starts, shape_id,
-                       shapes, shape_bps, fields)
+    return BinaryCover(top, B, n, members, starts, shape_id, shape_bps, fields)
 
 
 # ---------------------------------------------------------------------------
 # ordinal decomposition
 
+# the greedy loop allocates lists per node; collecting them doubles its time
+@_gc_paused()
 def decompose_ordinal(t: OrdinalTree, B: int | None = None) -> OrdinalCover:
     n = t.n
     if n < 1:
@@ -512,12 +459,8 @@ def decompose_ordinal(t: OrdinalTree, B: int | None = None) -> OrdinalCover:
     if B < 1:
         raise ValueError("B must be >= 1")
     children = t.children
-    size = [0] * (n + 1)
-    for v in range(n, 0, -1):
-        s = 1
-        for c in children[v]:
-            s += size[c]
-        size[v] = s
+    parent, size = _parent_size(t)
+    size = size.tolist()
 
     ret: list[_Comp | None] = [None] * (n + 1)
     rooted: dict[int, list[_Comp]] = {}
@@ -541,7 +484,7 @@ def decompose_ordinal(t: OrdinalTree, B: int | None = None) -> OrdinalCover:
 
     if not ret[t.root].permanent:
         seal(ret[t.root])
-    return _finalize_ordinal(t, B, sealed, rooted)
+    return _finalize_ordinal(t, B, parent, sealed, rooted)
 
 
 def _pack(v, kids, ret, seal, rooted, B, mode) -> _Comp:
@@ -587,14 +530,12 @@ def _pack(v, kids, ret, seal, rooted, B, mode) -> _Comp:
             c.members.append(v)
         else:
             c.members.extend(hc.members)
-            c.edges.extend(hc.edges)
             c.left_att.extend(hc.left_att)
             c.right_att.extend(hc.right_att)
             if hc.ext_att is not None:
                 if c.ext_att is not None:
                     raise AssertionError("two external edges in one component")
                 c.ext_att = hc.ext_att
-        c.edges.append((v, u))
         pack_count += 1
         if len(c.members) >= B:
             seal(c)
@@ -626,7 +567,7 @@ def _pack(v, kids, ret, seal, rooted, B, mode) -> _Comp:
     return c
 
 
-def _finalize_ordinal(t: OrdinalTree, B: int, sealed: list[_Comp],
+def _finalize_ordinal(t: OrdinalTree, B: int, parent: np.ndarray, sealed: list[_Comp],
                       rooted: dict[int, list[_Comp]]) -> OrdinalCover:
     n = t.n
     root_groups = rooted.get(t.root, [])
@@ -634,15 +575,14 @@ def _finalize_ordinal(t: OrdinalTree, B: int, sealed: list[_Comp],
         raise AssertionError("no component rooted at the tree root")
     # DFS over the attachment structure = preorder of the dummy-rooted top tier
     order: list[_Comp] = []
-    parent_type: dict[int, int] = {}
-    children_of: dict[int, list[_Comp]] = {}
-    stack: list[tuple[_Comp, int]] = []
-    for k in range(len(root_groups) - 1, -1, -1):
-        stack.append((root_groups[k], EDGE_NEW_LEFT if k == 0 else EDGE_CONT_LEFT))
+    etype: list[int] = []
+    kids_of: list[list[_Comp]] = []
+    stack = [(c, EDGE_NEW_LEFT if k == 0 else EDGE_CONT_LEFT)
+             for k, c in reversed(list(enumerate(root_groups)))]
     while stack:
-        c, etype = stack.pop()
-        parent_type[id(c)] = etype
+        c, ty = stack.pop()
         order.append(c)
+        etype.append(ty)
         kids: list[tuple[_Comp, int]] = []
         for group in c.left_att:
             for j, ch in enumerate(group):
@@ -653,45 +593,91 @@ def _finalize_ordinal(t: OrdinalTree, B: int, sealed: list[_Comp],
         if c.ext_att is not None:
             for ch in c.ext_att[0]:
                 kids.append((ch, EDGE_EXTERNAL))
-        children_of[id(c)] = [k[0] for k in kids]
+        kids_of.append([k[0] for k in kids])
         stack.extend(reversed(kids))
     if len(order) != len(sealed):
         raise AssertionError("top tier does not reach every micro tree")
-
+    m = len(order)
     index = {id(c): i for i, c in enumerate(order)}
-    micros: list[MicroTree] = []
-    node_micros: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, c in enumerate(order):
-        c.members.sort()
-        mem = c.members
-        for g in mem:
-            node_micros[g].append(i)
-        loc = {g: j + 1 for j, g in enumerate(mem)}
-        mu = len(mem)
-        ch: list[list[int]] = [[] for _ in range(mu + 1)]
-        for (p, u) in c.edges:
-            ch[loc[p]].append(loc[u])
-        mt = MicroTree(OrdinalTree(mu, ch), [0] + mem)
-        mt.parent_edge_type = parent_type[id(c)]
-        mt.left_groups = [[index[id(x)] for x in g] for g in c.left_att]
-        mt.right_groups = [[index[id(x)] for x in g] for g in c.right_att]
-        if c.ext_att is not None:
-            group, pnode, rank = c.ext_att
-            mt.ext_children = [index[id(x)] for x in group]
-            mt.ext_portal = (loc[pnode], rank)
-        micros.append(mt)
-    for v in range(1, n + 1):
-        if len(node_micros[v]) > 1:
-            for i in node_micros[v]:
-                micros[i].shared_root = True
 
-    m = len(micros)
-    ch_top: list[list[int]] = [[] for _ in range(m + 2)]
-    ch_top[1] = [index[id(c)] + 2 for c in root_groups]
-    for i, c in enumerate(order):
-        ch_top[i + 2] = [index[id(x)] + 2 for x in children_of[id(c)]]
-    top = OrdinalTree(m + 1, ch_top)
-    return OrdinalCover(micros, top, B, n, node_micros)
+    # members sorted by (micro, id): ascending ids are the local preorder
+    sizes = np.fromiter((len(c.members) for c in order), np.int64, m)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    micro = np.repeat(np.arange(m), sizes)
+    key = micro * (n + 1) + np.fromiter(
+        chain.from_iterable(c.members for c in order), np.int64, int(starts[-1]))
+    key.sort()
+    members = key - micro * (n + 1)
+
+    def local(i, v):
+        """The local preorder id of member v of micro i."""
+        return np.searchsorted(key, i * (n + 1) + v) - starts[i] + 1
+
+    # shape id: one row (size, local parent of each local node) per micro,
+    # compared as bytes; a member's local parent is its parent in the tree
+    x = np.arange(1, len(members) + 1) - starts[micro]
+    w = int(sizes.max())
+    rows = np.zeros((m, 1 + w), dtype=np.int16 if w < 1 << 15 else np.int64)
+    rows[:, 0] = sizes
+    rows[micro, x] = np.where(x > 1, local(micro, parent[members]), 0)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # number the shapes in the order the micro trees first name them:
+    # ``_code_lengths`` breaks weight ties in symbol order, so blobs depend on it
+    by_first = np.argsort(first)
+    shape_id = np.argsort(by_first)[inverse.reshape(-1)]
+    shape_bps = []
+    for row in rows[first[by_first]].tolist():
+        # node x is "(" then the closes down to node x + 1's depth
+        mu, depth = row[0], [-1] + [0] * (row[0] + 1)
+        for x in range(1, mu + 1):
+            depth[x] = depth[row[x]] + 1
+        shape_bps.append("".join("(" + ")" * (depth[x] - depth[x + 1] + 1)
+                                 for x in range(1, mu + 1)))
+
+    fields = np.zeros((m, 3), dtype=np.int64)
+    fields[:, 2] = etype
+    ext = [(i, *c.ext_att[1:]) for i, c in enumerate(order) if c.ext_att is not None]
+    i, v, rank = np.array(ext, dtype=np.int64).reshape(-1, 3).T
+    fields[i, :2] = np.column_stack((local(i, v), rank))
+
+    ch_top = [[], [index[id(c)] + 2 for c in root_groups]]
+    ch_top += [[index[id(c)] + 2 for c in kids] for kids in kids_of]
+    return OrdinalCover(OrdinalTree(m + 1, ch_top), B, n, members, starts,
+                        shape_id, shape_bps, fields)
+
+
+def _ordinal_links(t: OrdinalTree):
+    """The children of nodes 1..n in order, flattened, and each node's
+    number of children."""
+    deg = np.fromiter(map(len, t.children[1:]), np.int64, t.n)
+    return np.fromiter(chain.from_iterable(t.children[1:]), np.int64, int(deg.sum())), deg
+
+
+def _parent_size(t: BinaryTree | OrdinalTree):
+    """Each node's parent and subtree size (entry 0 is 0). A subtree ends
+    at its last node in preorder, found by following last children with
+    pointer jumping."""
+    n = t.n
+    ids = np.arange(n + 1)
+    if isinstance(t, BinaryTree):
+        left = np.asarray(t.left, dtype=np.int64)
+        right = np.asarray(t.right, dtype=np.int64)
+        parent = np.zeros(n + 1, dtype=np.int64)
+        parent[left] = ids
+        parent[right] = ids
+        parent[0] = 0
+        last = np.where(right != 0, right, np.where(left != 0, left, ids))
+    else:
+        kids, deg = _ordinal_links(t)
+        parent = np.zeros(n + 1, dtype=np.int64)
+        parent[kids] = np.repeat(ids[1:], deg)
+        last = ids.copy()
+        has = deg > 0
+        last[1:][has] = kids[np.cumsum(deg)[has] - 1]
+    size = _follow(last) - ids + 1
+    size[0] = 0
+    return parent, size
 
 
 # ---------------------------------------------------------------------------
@@ -705,150 +691,179 @@ def validate_cover(cover: BinaryCover | OrdinalCover, t=None):
     source tree enables the adjacency and heaviness checks.
     """
     out: list[str] = []
-    if isinstance(cover, BinaryCover):
-        _validate_binary(cover, t, out)
-    else:
-        _validate_ordinal(cover, t, out)
+    if _validate_arrays(cover, out):
+        if isinstance(cover, BinaryCover):
+            _validate_binary(cover, t, out)
+        else:
+            _validate_ordinal(cover, t, out)
     if out:
         return out
     return _stats(cover, t)
 
 
 def _stats(cover, t):
-    heavy = 0
-    light_max = 0
+    heavy = light = 0
     if t is not None:
-        size = annotate(t).subtree_size
-        heavy = sum(1 for x in range(1, t.n + 1) if size[x] >= cover.B)
-        if isinstance(t, OrdinalTree):
-            kids_of = t.children
-            for x in range(1, t.n + 1):
-                if size[x] >= cover.B:
-                    for c in kids_of[x]:
-                        if size[c] < cover.B:
-                            light_max += 1
-        else:
-            for x in range(1, t.n + 1):
-                if size[x] >= cover.B:
-                    for c in (t.left[x], t.right[x]):
-                        if c and size[c] < cover.B:
-                            light_max += 1
-    return CoverStats(len(cover.micro), heavy, light_max)
+        parent, size = _parent_size(t)
+        big = size >= cover.B
+        heavy = int(np.count_nonzero(big))
+        light = int(np.count_nonzero(big[parent[1:]] & (size[1:] < cover.B)))
+    return CoverStats(len(cover.shape_id), heavy, light)
 
 
-def _hang_sizes_binary(cover: BinaryCover) -> list[int]:
-    m = len(cover.micro)
-    hang = [0] * m
-    for i in range(m - 1, -1, -1):
-        mt = cover.micro[i]
-        s = mt.size
-        for chi in (mt.left_child, mt.right_child):
-            if chi is not None:
-                s += hang[chi]
-        hang[i] = s
-    return hang
+def _validate_arrays(cover, out: list[str]) -> bool:
+    """The ranges and counts that the other checks index by. Returns False
+    where one fails that they need."""
+    n, B = cover.n, cover.B
+    members, starts = np.asarray(cover.members), np.asarray(cover.starts)
+    shape_id, fields = np.asarray(cover.shape_id), np.asarray(cover.fields)
+    m = len(shape_id)
+    width = 2 if isinstance(cover, BinaryCover) else 3
+    if (m < 1 or members.ndim != 1 or starts.shape != (m + 1,)
+            or fields.shape != (m, width) or starts[0] != 0 or starts[-1] != len(members)):
+        out.append("cover arrays have inconsistent lengths")
+        return False
+    mu = np.diff(starts)
+    for i in np.flatnonzero((mu < 1) | (mu > 2 * B)).tolist():
+        out.append(f"micro {i}: size {mu[i]} outside [1, {2 * B}]")
+    if m > max(1, 8 * n // B):
+        out.append(f"m={m} exceeds 8n/B")
+    if (mu < 1).any():
+        return False
+    micro = np.repeat(np.arange(m), mu)
+    for i in np.unique(micro[(members < 1) | (members > n)]).tolist():
+        out.append(f"micro {i}: node id out of range")
+    if shape_id.min() < 0 or shape_id.max() >= len(cover.shape_bps):
+        out.append("shape id out of range")
+        return False
+    shape_mu = np.array([len(bp) // 2 for bp in cover.shape_bps])
+    for i in np.flatnonzero(shape_mu[shape_id] != mu).tolist():
+        out.append(f"micro {i}: shape size differs from member count")
+    # each shape is a balanced BP string, an ordinal one of one tree
+    text = "".join(cover.shape_bps)
+    opens = np.cumsum(np.frombuffer(text.encode(), dtype=np.uint8) == ord("("))
+    excess = 2 * opens - np.arange(1, len(text) + 1)
+    ends = np.cumsum([len(bp) for bp in cover.shape_bps]) - 1
+    if not out and (not set(text) <= {"(", ")"} or excess.min() < 0 or excess[ends].any()
+                    or width == 3 and np.count_nonzero(excess == 0) != len(ends)):
+        out.append("a shape is not a balanced BP string")
+    return not out
 
 
 def _validate_binary(cover: BinaryCover, t, out: list[str]):
     n, B = cover.n, cover.B
-    seen = [0] * (n + 1)
-    for i, mt in enumerate(cover.micro):
-        if not 1 <= mt.size <= 2 * B:
-            out.append(f"micro {i}: size {mt.size} outside [1, {2 * B}]")
-        if mt.shape.n != mt.size:
-            out.append(f"micro {i}: shape size differs from member count")
-            return
-        for g in mt.local_to_global[1:]:
-            if 1 <= g <= n:
-                seen[g] += 1
-            else:
-                out.append(f"micro {i}: node id {g} out of range")
-    for g in range(1, n + 1):
-        if seen[g] != 1:
-            out.append(f"node {g} covered {seen[g]} times")
-    if len(cover.micro) > max(1, 8 * n // B):
-        out.append(f"m={len(cover.micro)} exceeds 8n/B")
-    hang = _hang_sizes_binary(cover)
-    for i, mt in enumerate(cover.micro):
-        if hang[i] < min(B, n):
-            out.append(f"micro {i}: root subtree size {hang[i]} < B={B}")
-        both = mt.left_slot is not None and mt.right_slot is not None
-        if both:
-            nonroot = sum(1 for s in (mt.left_slot, mt.right_slot) if s[0] != 1)
-            if nonroot > 1:
-                out.append(f"micro {i}: two portals, none at the root")
+    members, fields = cover.members, cover.fields
+    m = len(cover.shape_id)
+    mu = np.diff(cover.starts)
+    count = np.bincount(members, minlength=n + 1)
+    for g in np.flatnonzero(count[1:] != 1).tolist():
+        out.append(f"node {g + 1} covered {count[g + 1]} times")
+    # the top tier is a tree over the micro trees in preorder: each child
+    # after its parent, and every micro tree but the first a child once
+    top = cover.top_tier
+    if top.n != m or len(top.left) != m + 1 or len(top.right) != m + 1:
+        out.append(f"top tier has {top.n} nodes, not m={m}")
+        return
+    child = np.array([top.left[1:], top.right[1:]], dtype=np.int64) - 1
+    has = child >= 0
+    ids = np.arange(m)
+    if ((child < -1) | (child >= m) | (has & (child <= ids))).any() or (
+            np.bincount(child[has], minlength=m) != (ids > 0)).any():
+        out.append("top tier is not a tree of the micro trees in preorder")
+        return
+    # a field is set where the top tier has that child, names a null, and
+    # a second portal follows the first
+    first, second = fields.T
+    bad = ((fields != 0) != has.T).any(axis=1) | (fields > mu[:, None] + 1).any(axis=1)
+    bad |= (second != 0) & (second <= first)
+    for i in np.flatnonzero(bad).tolist():
+        out.append(f"micro {i}: portal fields do not match the top tier")
+    if out:
+        return
+    p = BinaryPlacement(cover)
+    for i in np.flatnonzero(p.hang < min(B, n)).tolist():
+        out.append(f"micro {i}: root subtree size {p.hang[i]} < B={B}")
+    for i in np.flatnonzero(has.all(axis=0) & (p.owner != 1).all(axis=0)).tolist():
+        out.append(f"micro {i}: two portals, none at the root")
+    micro, _, g = p.local_nodes()
+    if not np.array_equal(g, members):
+        out.append("members are not where the top tier places them")
+        return
     if t is None:
         return
     if t.n != n:
         out.append("tree size mismatch")
         return
-    node_micro = cover.node_micro.tolist()
-    for i, mt in enumerate(cover.micro):
-        loc = mt.local_to_global
-        sh = mt.shape
-        ok = True
-        for j in range(1, mt.size + 1):
-            g = loc[j]
-            for side, gch in ((0, t.left[g]), (1, t.right[g])):
-                lch = sh.left[j] if side == 0 else sh.right[j]
-                inside = bool(gch) and node_micro[gch] == i
-                if inside != bool(lch) or (inside and loc[lch] != gch):
-                    ok = False
-        if not ok:
-            out.append(f"micro {i}: local shape is not the induced subtree")
-        for slot, chi in ((mt.left_slot, mt.left_child),
-                          (mt.right_slot, mt.right_child)):
-            if slot is None:
-                continue
-            gv = loc[slot[0]]
-            target = t.left[gv] if slot[1] == 0 else t.right[gv]
-            if chi is None or cover.micro[chi].root_global != target:
-                out.append(f"micro {i}: portal does not match a tree edge")
+    # the tree the layout decodes to is t: its shapes are the induced
+    # subtrees and its portals tree edges
+    wrong = (p.children() != np.array([t.left, t.right], dtype=np.int64)).any(axis=0)
+    node_micro = np.zeros(n + 1, dtype=np.int64)
+    node_micro[members] = micro
+    for i in np.unique(node_micro[wrong]).tolist():
+        out.append(f"micro {i}: a child differs from the tree's (shape or portal)")
 
 
 def _validate_ordinal(cover: OrdinalCover, t, out: list[str]):
     n, B = cover.n, cover.B
-    for g in range(1, n + 1):
-        ms = cover.node_micros[g]
-        if not ms:
-            out.append(f"node {g} not covered")
-        elif len(ms) > 1:
-            for i in ms:
-                if cover.micro[i].root_global != g:
-                    out.append(f"node {g} shared but not the root of micro {i}")
-    for i, mt in enumerate(cover.micro):
-        if not 1 <= mt.size <= 2 * B:
-            out.append(f"micro {i}: size {mt.size} outside [1, {2 * B}]")
-        if mt.ext_portal is not None and not mt.ext_children:
-            out.append(f"micro {i}: external portal without children")
-    if len(cover.micro) > max(1, 8 * n // B):
-        out.append(f"m={len(cover.micro)} exceeds 8n/B")
-    if t is None:
+    members, starts = cover.members, cover.starts
+    m = len(cover.shape_id)
+    mu = np.diff(starts)
+    micro = np.repeat(np.arange(m), mu)
+    count = np.bincount(members, minlength=n + 1)
+    for g in np.flatnonzero(count[1:] == 0).tolist():
+        out.append(f"node {g + 1} not covered")
+    # a node in several micro trees is the root of each
+    at = np.flatnonzero((count[members] > 1) & (members != members[starts[micro]]))
+    for g, i in zip(members[at].tolist(), micro[at].tolist()):
+        out.append(f"node {g} shared but not the root of micro {i}")
+    pos, rank, etype = cover.fields.T
+    bad = (pos < 0) | (pos > mu) | (rank < 0) | ((pos == 0) != (rank == 0))
+    bad |= (etype < 0) | (etype > EDGE_EXTERNAL)
+    for i in np.flatnonzero(bad).tolist():
+        out.append(f"micro {i}: fields out of range")
+    # the top tier: micro i is node i + 2, each a child once; an external
+    # portal holds the micro trees below it with edge type (v)
+    top = cover.top_tier
+    if top.n != m + 1 or len(top.children) != m + 2:
+        out.append(f"top tier has {top.n} nodes, not m + 1={m + 1}")
+        return
+    kids, deg = _ordinal_links(top)
+    kids -= 2
+    if ((kids < 0) | (kids >= m)).any() or (np.bincount(kids, minlength=m) != 1).any():
+        out.append("top tier does not reach every micro tree once")
+        return
+    up = np.repeat(np.arange(-1, m), deg)[etype[kids] == EDGE_EXTERNAL]
+    has_ext = np.zeros(m, dtype=bool)
+    has_ext[up[up >= 0]] = True
+    for i in np.flatnonzero((pos != 0) & ~has_ext).tolist():
+        out.append(f"micro {i}: external portal without children")
+    for i in np.flatnonzero((pos == 0) & has_ext).tolist():
+        out.append(f"micro {i}: external children without a portal")
+    if t is None or out:
         return
     if t.n != n:
         out.append("tree size mismatch")
         return
-    size = annotate(t).subtree_size
-    for i, mt in enumerate(cover.micro):
-        if size[mt.root_global] < min(B, n):
-            out.append(f"micro {i}: root {mt.root_global} is light")
-    # per-member children inside the micro form one interval, with at most
-    # one single-node gap per micro (path-node packing)
-    for i, mt in enumerate(cover.micro):
-        gaps = 0
-        loc = mt.local_to_global
-        for j in range(1, mt.size + 1):
-            g = loc[j]
-            runs = 0
-            prev_in = False
-            for cch in t.children[g]:
-                now = cover.node_micros[cch] == [i]
-                if now and not prev_in:
-                    runs += 1
-                prev_in = now
-            if runs > 2:
-                out.append(f"micro {i}: node {g} children split into {runs} runs")
-            elif runs == 2:
-                gaps += 1
-        if gaps > 1:
-            out.append(f"micro {i}: more than one child gap")
+    _, size = _parent_size(t)
+    roots = members[starts[:-1]]
+    for i in np.flatnonzero(size[roots] < min(B, n)).tolist():
+        out.append(f"micro {i}: root {roots[i]} is light")
+    # a member's children that lie in its micro tree alone form one run in
+    # sibling order, or two around a one-node gap, at most once per micro
+    # tree (path-node packing)
+    kids, deg = _ordinal_links(t)
+    sole = np.full(n + 1, -1)
+    sole[members] = micro
+    sole[count != 1] = -1
+    s = sole[kids]
+    par = np.repeat(np.arange(1, n + 1), deg)
+    cont = np.zeros(len(kids), dtype=bool)
+    cont[1:] = (par[1:] == par[:-1]) & (s[1:] == s[:-1])
+    start = (s >= 0) & ~cont
+    pairs, runs = np.unique(par[start] * m + s[start], return_counts=True)
+    held = np.isin(pairs, members * m + micro)
+    pairs, runs = pairs[held], runs[held]
+    for p, r in zip(pairs[runs > 2].tolist(), runs[runs > 2].tolist()):
+        out.append(f"micro {p % m}: node {p // m} children split into {r} runs")
+    for i in np.flatnonzero(np.bincount(pairs[runs == 2] % m, minlength=m) > 1).tolist():
+        out.append(f"micro {i}: more than one child gap")

@@ -299,20 +299,6 @@ class HsBlob:
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def _cover_symbols(cover: BinaryCover | OrdinalCover) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The distinct shape BP strings of a cover, each micro tree's index
-    into them, and its fields: the (m, 2) portal fields of a binary cover,
-    or the external portal (pos, rank) and parent edge type, (m, 3), of an
-    ordinal one."""
-    if isinstance(cover, BinaryCover):
-        return cover.shape_bps, cover.shape_id, cover.fields
-    index: dict[str, int] = {}
-    ids = [index.setdefault(bp_encode_ordinal(mt.shape).to_paren(), len(index))
-           for mt in cover.micro]
-    fields = [(*(mt.ext_portal or (0, 0)), mt.parent_edge_type) for mt in cover.micro]
-    return list(index), np.asarray(ids, dtype=np.int64), np.asarray(fields, dtype=np.int64)
-
-
 def _symbols(shape_bps: list[str], shape_id: np.ndarray,
              fields: np.ndarray) -> tuple[list[tuple], np.ndarray, list[int]]:
     """The distinct (shape BP, *fields) symbols of the micro trees, each
@@ -375,8 +361,9 @@ def _write_blob(kind: str, n: int, shape_bps: list[str], shape_id: np.ndarray,
     """Serialize either kind from bit blocks, packed once: header,
     [ordinal: top-tier BP,] codebook, one codeword per micro tree (one per
     distinct symbol, gathered) and the CRC. Micro tree i has shape
-    ``shape_bps[shape_id[i]]`` and fields ``fields[i]`` (see
-    ``_cover_symbols``)."""
+    ``shape_bps[shape_id[i]]`` and fields ``fields[i]``: the (m, 2) portal
+    fields of a binary cover, or the (m, 3) external portal and parent edge
+    type of an ordinal one."""
     m = len(shape_id)
     symbols, inverse, counts = _symbols(shape_bps, shape_id, fields)
     code = ShapeCode(dict(zip(symbols, counts)))
@@ -444,7 +431,7 @@ def _read_codebook(cur: BitCursor, kind: str) -> ShapeCode:
 def _read_blob(blob: HsBlob, kind: str):
     """Check the CRC, then read every part of a blob of ``kind``. Returns
     (n, top tier, shape BP strings, shape id per micro, fields per micro;
-    see ``_cover_symbols``). A ``MalformedStream`` from here names the part
+    see ``_write_blob``). A ``MalformedStream`` from here names the part
     and the payload bit."""
     if blob.kind != kind:
         raise MalformedStream(f"expected a {kind} blob, got {blob.kind}")
@@ -522,23 +509,10 @@ def parse_binary_blob(blob: HsBlob) -> BinaryLayout:
 
 
 def hs_decode_binary(blob: HsBlob) -> BinaryTree:
-    """Gather each node's children by global id: a local child's id
-    follows from the placement, the left one is always the next id, and a
-    portal's child is the root of the micro tree hanging there."""
+    """Gather each node's children by global id from the placement (see
+    ``BinaryPlacement.children``)."""
     layout = parse_binary_blob(blob)
-    p = BinaryPlacement(layout)
-    n = layout.n
-    micro = np.repeat(np.arange(len(p.mu)), p.mu)
-    x = np.arange(1, n + 1) - (np.cumsum(p.mu) - p.mu)[micro]
-    s = p.sid[micro]
-    g = p.global_id(micro, x)
-    rx = p.tables.right[s, x]
-    kids = np.zeros((2, n + 1), dtype=np.int64)
-    kids[0, g] = np.where(p.tables.left[s, x] != 0, g + 1, 0)
-    kids[1, g] = np.where(rx != 0, p.global_id(micro, rx), 0)
-    k, i = np.nonzero(p.has)
-    kids[p.side[k, i], p.global_id(i, p.owner[k, i])] = p.root_pre[p.child[k, i]]
-    return BinaryTree(n, *kids.tolist())
+    return BinaryTree(layout.n, *BinaryPlacement(layout).children().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +524,7 @@ def hs_encode_ordinal(t: OrdinalTree, B: int | None = None,
         raise ValueError("cannot encode the empty tree")
     if cover is None:
         cover = decompose_ordinal(t, B)
-    return _write_blob("ordinal", t.n, *_cover_symbols(cover),
+    return _write_blob("ordinal", t.n, cover.shape_bps, cover.shape_id, cover.fields,
                        bp_encode_ordinal(cover.top_tier).to_array())
 
 
@@ -662,13 +636,12 @@ def space_report(t: BinaryTree | OrdinalTree, B: int | None = None) -> dict[str,
 def cover_stats(cover: BinaryCover | OrdinalCover) -> dict:
     """Cover statistics for reports: the number of micro trees, distinct
     shapes, mean micro-tree size and distinct symbols (the codebook's size)."""
-    bps, ids, fields = _cover_symbols(cover)
-    mu = np.array([len(s) // 2 for s in bps], dtype=np.int64)
+    ids = cover.shape_id
     return {
         "m": len(ids),
         "distinctShapes": len(np.unique(ids)),
-        "meanMicroSize": int(mu[ids].sum()) / len(ids),
-        "distinctSymbols": len(_symbols(bps, ids, fields)[0]),
+        "meanMicroSize": len(cover.members) / len(ids),
+        "distinctSymbols": len(_symbols(cover.shape_bps, ids, cover.fields)[0]),
     }
 
 

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from hypertree.bits import BitBuf
+from hypertree.cover import BinaryCover
 from hypertree.hypercodec import hs_encode_binary
-from hypertree.trees import BinaryTree
+from hypertree.trees import BinaryTree, OrdinalTree, bp_decode_binary, bp_decode_ordinal
 from hypertree import sources as S
 
 # The 20-node worked example: node label = inorder number, edges from the
@@ -53,6 +55,30 @@ def random_bst(rng: random.Random, n: int) -> BinaryTree:
         stack.append((lo, r - 1, r, 0))
         stack.append((r + 1, hi, r, 1))
     return BinaryTree.from_links(root, left, right)
+
+
+def micro_shapes(cov) -> list:
+    """Each micro tree's local shape, decoded from the cover's BP strings."""
+    decode = bp_decode_binary if isinstance(cov, BinaryCover) else bp_decode_ordinal
+    shapes = [decode(BitBuf(bp)) for bp in cov.shape_bps]
+    return [shapes[k] for k in cov.shape_id.tolist()]
+
+
+def induced_shapes(t, cov) -> list:
+    """Each micro tree's shape as the subtree of ``t`` that its members
+    induce, computed from ``t`` and the members alone."""
+    out = []
+    members, starts = cov.members.tolist(), cov.starts.tolist()
+    for a, b in zip(starts, starts[1:]):
+        loc = {g: j + 1 for j, g in enumerate(members[a:b])}
+        if isinstance(t, BinaryTree):
+            kids = [[0] + [loc.get(side[g], 0) for g in members[a:b]]
+                    for side in (t.left, t.right)]
+            out.append(BinaryTree(b - a, *kids))
+        else:
+            kids = [[loc[c] for c in t.children[g] if c in loc] for g in members[a:b]]
+            out.append(OrdinalTree(b - a, [[]] + kids))
+    return out
 
 
 def flipped_bst_blob() -> bytes:

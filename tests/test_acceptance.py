@@ -14,6 +14,7 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import figure_tree
+from hypertree.bits import BitBuf
 from hypertree.cover import (
     CoverStats, decompose_binary, decompose_ordinal, validate_cover,
 )
@@ -26,7 +27,7 @@ from hypertree.rmq import (
     lg_narayana, rmq_build, runs_profile,
 )
 from hypertree.trees import (
-    BinaryTree, bp_encode_binary, bp_encode_ordinal, ordinal_path,
+    bp_decode_binary, bp_encode_binary, bp_encode_ordinal, ordinal_path,
     ordinal_star,
 )
 from hypertree import sources as S
@@ -153,19 +154,16 @@ def bst_scaling():
         for rep in range(reps):
             t = S.sample(BST, n, S.derive_seed("c36", n, rep))
             cov = decompose_binary(t)
-            freq: dict[int, int] = {}
-            shapes: dict[int, BinaryTree] = {}
-            for mt in cov.micro:
-                k = id(mt.shape)
-                freq[k] = freq.get(k, 0) + 1
-                shapes[k] = mt.shape
-            bp_of = {k: bp_encode_binary(sh).to_paren() for k, sh in shapes.items()}
-            code = build_shape_code(
-                {bp_of[k]: c for k, c in freq.items()})
-            huff = sum(code.code_len[bp_of[k]] * c for k, c in freq.items())
+            # shape counts, in the order the micro trees first name the
+            # shapes, so that the sums below add in a fixed order
+            counts = np.bincount(cov.shape_id).tolist()
+            first = np.unique(cov.shape_id, return_index=True)[1]
+            freq = {cov.shape_bps[k]: counts[k] for k in np.argsort(first).tolist()}
+            code = build_shape_code(freq)
+            huff = sum(code.code_len[bp] * c for bp, c in freq.items())
             dfs = lp_mu = 0.0
-            for k, c in freq.items():
-                sh = shapes[k]
+            for bp, c in freq.items():
+                sh = bp_decode_binary(BitBuf(bp))
                 dfs += c * S.dfs_code_length(BST, sh)
                 lp_mu += c * BST.log_prob(sh).log_prob_bits
             rec = out[n]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -175,3 +176,58 @@ def test_bench_ordinal_source(tmp_path):
     assert run("bench", "--source", "lrm", "--sizes", "128", "--seed", "3",
                "--reps", "2", "--csv", str(out)) == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+# ``analyze --dump-cover`` of seeded trees, as the dump read before the
+# covers became arrays: one binary tree (B = 3) and one ordinal tree (B = 2)
+DUMP_PINNED = {
+    ("bst", 3, "binary"): [
+        {"i": 0, "leftPortal": 2, "nodes": [1, 2], "root": 1},
+        {"i": 1, "leftPortal": 0, "nodes": [3], "rightPortal": 1, "root": 3},
+        {"i": 2, "leftPortal": 0, "nodes": [4], "rightPortal": 1, "root": 4},
+        {"i": 3, "nodes": [5, 6, 7, 8], "root": 5},
+        {"i": 4, "nodes": [9, 10, 11], "root": 9},
+        {"i": 5, "leftPortal": 0, "nodes": [12, 23, 24], "root": 12},
+        {"i": 6, "leftPortal": 3, "nodes": [13, 14, 15, 16], "root": 13},
+        {"i": 7, "leftPortal": 3, "nodes": [17, 18, 19], "root": 17},
+        {"i": 8, "nodes": [20, 21, 22], "root": 20}],
+    ("lrm", 2, "ordinal"): [
+        {"edgeType": 0, "i": 0, "nodes": [1, 4], "root": 1},
+        {"edgeType": 0, "i": 1, "nodes": [2, 3], "root": 2},
+        {"edgeType": 2, "extPortal": [1, 1], "i": 2, "nodes": [5], "root": 5},
+        {"edgeType": 4, "i": 3, "nodes": [6, 7], "root": 6},
+        {"edgeType": 2, "i": 4, "nodes": [8, 9], "root": 8},
+        {"edgeType": 2, "i": 5, "nodes": [10, 11], "root": 10},
+        {"edgeType": 3, "extPortal": [1, 1], "i": 6, "nodes": [10], "root": 10},
+        {"edgeType": 4, "i": 7, "nodes": [12, 13], "root": 12},
+        {"edgeType": 2, "extPortal": [1, 1], "i": 8, "nodes": [14], "root": 14},
+        {"edgeType": 4, "i": 9, "nodes": [15, 16], "root": 15},
+        {"edgeType": 2, "i": 10, "nodes": [17, 18], "root": 17},
+        {"edgeType": 3, "extPortal": [2, 1], "i": 11, "nodes": [17, 19], "root": 17},
+        {"edgeType": 4, "i": 12, "nodes": [20, 21], "root": 20},
+        {"edgeType": 4, "extPortal": [1, 1], "i": 13, "nodes": [20, 24], "root": 20},
+        {"edgeType": 4, "i": 14, "nodes": [22, 23], "root": 22}],
+}
+# the same dumps of two seeded trees per source, at B = 1, 3 and 5, hashed
+DUMP_PINNED_SHA256 = "ec477aff5b82699ef6c53687d4886112ac112f5f7fb6d68c6b8d8329834425a1"
+
+
+def _dumps(tmp_path, capsys, spec, size, seed, count, kind, blocks):
+    src = tmp_path / "t.bp"
+    assert run("sample", "--source", spec, "--size", str(size), "--seed", str(seed),
+               "--count", str(count), "--out", str(src)) == 0
+    for B in blocks:
+        assert run("analyze", "--kind", kind, "--block", str(B), "--dump-cover", str(src)) == 0
+        yield from (json.loads(line)["cover"]
+                    for line in capsys.readouterr().out.splitlines())
+
+
+def test_analyze_dump_cover_pinned(tmp_path, capsys):
+    for (spec, B, kind), want in DUMP_PINNED.items():
+        assert list(_dumps(tmp_path, capsys, spec, 24, 3, 1, kind, [B])) == [want]
+    h = hashlib.sha256()
+    for spec, kind in (("bst", "binary"), ("uniform", "binary"),
+                       ("lrm", "ordinal"), ("composition", "ordinal")):
+        for dump in _dumps(tmp_path, capsys, spec, 400, 4, 2, kind, (1, 3, 5)):
+            h.update(json.dumps(dump, sort_keys=True).encode())
+    assert h.hexdigest() == DUMP_PINNED_SHA256

@@ -1,8 +1,10 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
-from conftest import random_bst
+from conftest import induced_shapes, micro_shapes, random_bst
 from hypertree.cover import (
     BinaryCover, CoverStats, EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_NEW_LEFT,
     EDGE_NEW_RIGHT, ShapeTables, decompose_binary, decompose_ordinal,
@@ -40,8 +42,8 @@ def test_single_micro_when_small(rng):
     for n in (1, 2, 5, 8):
         t = random_bst(rng, n)
         cov = decompose_binary(t, 8)
-        assert len(cov.micro) == 1
-        assert cov.micro[0].left_portal is None and cov.micro[0].right_portal is None
+        assert len(cov.shape_id) == 1
+        assert not cov.fields[0].any()
         stats = validate_cover(cov, t)
         assert isinstance(stats, CoverStats) and stats.m == 1
 
@@ -51,10 +53,10 @@ def test_balanced_1023_block8():
     cov = decompose_binary(t, 8)
     stats = validate_cover(cov, t)
     assert isinstance(stats, CoverStats)
-    assert all(mt.size <= 16 for mt in cov.micro)
+    assert np.diff(cov.starts).max() <= 16
     # every micro root heavy is part of validate_cover; spot-check directly
     size = annotate(t).subtree_size
-    assert all(size[mt.root_global] >= 8 for mt in cov.micro)
+    assert all(size[r] >= 8 for r in cov.members[cov.starts[:-1]].tolist())
 
 
 def test_binary_cover_random(rng):
@@ -69,13 +71,14 @@ def test_binary_cover_random(rng):
         assert res.m <= max(1, 8 * n // bb)
         # top tier is a preorder-consistent binary tree
         assert BinaryTree.from_links(1, cov.top_tier.left, cov.top_tier.right) == cov.top_tier
+        assert micro_shapes(cov) == induced_shapes(t, cov)
 
 
 def test_binary_cover_deterministic(rng):
     t = random_bst(rng, 500)
     a = decompose_binary(t, 4)
     b = decompose_binary(t, 4)
-    assert [mt.local_to_global for mt in a.micro] == [mt.local_to_global for mt in b.micro]
+    assert np.array_equal(a.members, b.members) and np.array_equal(a.starts, b.starts)
     assert a.top_tier == b.top_tier
 
 
@@ -84,13 +87,15 @@ def test_ordinal_star_shared_roots():
     cov = decompose_ordinal(t, 6)
     res = validate_cover(cov, t)
     assert isinstance(res, CoverStats)
-    shared = [mt for mt in cov.micro if mt.shared_root]
+    # the micro trees that hold a node some other micro tree holds too
+    micro = np.repeat(np.arange(len(cov.shape_id)), np.diff(cov.starts))
+    shared = np.unique(micro[np.bincount(cov.members)[cov.members] > 1])
     assert len(shared) >= 2
-    types = {mt.parent_edge_type for mt in cov.micro}
+    types = set(cov.fields[:, 2].tolist())
     assert types <= {EDGE_NEW_LEFT, EDGE_CONT_LEFT, EDGE_NEW_RIGHT, EDGE_CONT_RIGHT}
     # consecutive members of a shared-root family alternate new/continued
-    assert cov.micro[0].parent_edge_type == EDGE_NEW_LEFT
-    assert cov.micro[1].parent_edge_type == EDGE_CONT_LEFT
+    assert cov.fields[0, 2] == EDGE_NEW_LEFT
+    assert cov.fields[1, 2] == EDGE_CONT_LEFT
 
 
 def test_ordinal_cover_random(rng):
@@ -110,6 +115,7 @@ def test_ordinal_cover_random(rng):
         res = validate_cover(cov, t)
         assert isinstance(res, CoverStats), (n, B, kind, res[:4])
         assert OrdinalTree.from_links(1, cov.top_tier.children) == cov.top_tier
+        assert micro_shapes(cov) == induced_shapes(t, cov)
 
 
 def test_shape_tables_match_annotate(rng):
@@ -141,20 +147,113 @@ def test_shape_tables_match_annotate(rng):
                 for r in range(mu + 1)] == nulls
 
 
+def _with_member(cov, at, node):
+    """The cover with ``node`` inserted into its members at ``at``, which
+    lies in micro tree 0: that micro tree gains a member."""
+    cov.members = np.insert(cov.members, at, node)
+    cov.starts = cov.starts + (np.arange(len(cov.starts)) > 0)
+    return cov
+
+
 def test_validate_reports_corruption(rng):
     t = random_bst(rng, 80)
+    # micro tree 0 also claims the root of another micro tree
     cov = decompose_binary(t, 4)
-    cov.micro[0].local_to_global.append(cov.micro[-1].local_to_global[1])
-    out = validate_cover(cov, t)
+    other = cov.members[cov.starts[-2]]
+    out = validate_cover(_with_member(cov, cov.starts[1], other), t)
     assert isinstance(out, list) and out
 
+    # a member of micro tree 0 is overwritten by a node another one holds
     cov = decompose_binary(t, 4)
-    # claim a node belongs to two micro trees
-    dup = cov.micro[-1].local_to_global[1]
-    cov.micro[0].local_to_global[1] = dup
-    cov.micro[0].shape = cov.micro[0].shape  # shape size still matches
-    out = validate_cover(decompose_binary(t, 4), t)
-    assert isinstance(out, CoverStats)
+    cov.members[cov.starts[0]] = cov.members[cov.starts[-2]]
+    out = validate_cover(cov, t)
+    assert isinstance(out, list) and out
+    assert isinstance(validate_cover(decompose_binary(t, 4), t), CoverStats)
+
+
+def _corruptions(cov):
+    """Ways to break each array of a cover, as functions that break it."""
+    def set_(name, value):
+        return lambda c: setattr(c, name, value)
+
+    def item(name, index, value):
+        def f(c):
+            arr = getattr(c, name).copy()
+            arr[index] = value
+            setattr(c, name, arr)
+        return f
+
+    m, w = cov.fields.shape
+    return [
+        item("members", 0, 0), item("members", -1, cov.n + 1),
+        item("members", -1, cov.members[0]),
+        item("starts", 1, 0), item("starts", -1, len(cov.members) + 1),
+        item("shape_id", 0, len(cov.shape_bps)), item("shape_id", -1, -1),
+        item("fields", (0, 0), 99), item("fields", (m - 1, w - 1), -1),
+        set_("shape_bps", ["()(" + bp[3:] for bp in cov.shape_bps]),
+        set_("shape_bps", [")" + bp[1:] for bp in cov.shape_bps]),
+        set_("shape_id", cov.shape_id[:-1]), set_("fields", cov.fields[:, :1]),
+        set_("n", cov.n + 1), set_("n", cov.n - 1), set_("B", 10 ** 6),
+    ]
+
+
+def test_validate_corrupt_arrays_never_raise(rng):
+    # every corruption of every array yields violation strings, with and
+    # without the tree; the uncorrupted covers hold
+    trees = [(decompose_binary, random_bst(rng, 200)),
+             (decompose_ordinal, S.sample(S.LrmSource(), 200, 7)),
+             (decompose_ordinal, ordinal_star(100))]
+    for decompose, t in trees:
+        for B in (2, 5):
+            assert isinstance(validate_cover(decompose(t, B), t), CoverStats)
+            for k, corrupt in enumerate(_corruptions(decompose(t, B))):
+                cov = decompose(t, B)
+                corrupt(cov)
+                for tree in (None, t):
+                    out = validate_cover(cov, tree)
+                    assert isinstance(out, list) and out, (decompose.__name__, B, k)
+
+
+def test_validate_top_tier_corruption(rng):
+    # a top tier that is not a tree in preorder, or whose external edges
+    # do not match the portals, is reported, not raised
+    t = random_bst(rng, 300)
+    o = ordinal_star(60)
+    lrm = S.sample(S.LrmSource(), 300, 9)
+    cases = []
+    cov = decompose_binary(t, 3)
+    top = cov.top_tier
+    top.left[1], top.right[1] = top.right[1], top.left[1]
+    cases.append((cov, t))
+    for at, value in ((2, 1), (1, -1000)):
+        cov = decompose_binary(t, 3)
+        cov.top_tier.left[at] = value
+        cases.append((cov, t))
+    cov = decompose_ordinal(o, 3)
+    cov.top_tier.children[1].append(2)
+    cases.append((cov, o))
+    cov = decompose_ordinal(lrm, 3)
+    cov.fields[np.flatnonzero(cov.fields[:, 0])[0], :2] = 0
+    cases.append((cov, lrm))
+    for cov, tree in cases:
+        out = validate_cover(cov, tree)
+        assert isinstance(out, list) and out
+
+
+@pytest.mark.parametrize("tree", [
+    lambda: ordinal_star(2 ** 14),
+    lambda: S.sample(S.CompositionSource(), 2 ** 14, S.derive_seed("validate", 2 ** 14)),
+], ids=["star", "composition"])
+def test_validate_ordinal_linear(tree):
+    # the validator counts each child once, not once per micro tree that
+    # shares its parent: 2^14 nodes in well under the 2 s bound
+    t = tree()
+    cov = decompose_ordinal(t)
+    t0 = time.perf_counter()
+    res = validate_cover(cov, t)
+    elapsed = time.perf_counter() - t0
+    assert isinstance(res, CoverStats), res[:4]
+    assert elapsed < 2.0
 
 
 def test_stats_fields(rng):
@@ -163,15 +262,15 @@ def test_stats_fields(rng):
     stats = validate_cover(cov, t)
     size = annotate(t).subtree_size
     assert stats.heavy_count == sum(1 for v in range(1, 301) if size[v] >= 8)
-    assert stats.m == len(cov.micro)
+    assert stats.m == len(cov.shape_id)
 
 
 def test_left_chain_cover():
     t = left_chain(100)
     cov = decompose_binary(t, 10)
     assert isinstance(validate_cover(cov, t), CoverStats)
-    assert all(mt.size <= 20 for mt in cov.micro)
-    assert len(cov.micro) == 10
+    assert np.diff(cov.starts).max() <= 20
+    assert len(cov.shape_id) == 10
 
 
 def test_large_bst_default_block():
@@ -190,5 +289,5 @@ def test_ordinal_34_nodes_block6(rng):
         t = S.sample(S.LrmSource(), 34, rng.getrandbits(32))
         cov = decompose_ordinal(t, 6)
         assert isinstance(validate_cover(cov, t), CoverStats)
-        assert all(mt.size <= 12 for mt in cov.micro)
-        assert 2 <= len(cov.micro) <= 8 * 34 // 6
+        assert np.diff(cov.starts).max() <= 12
+        assert 2 <= len(cov.shape_id) <= 8 * 34 // 6

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import flipped_bst_blob, random_bst
+from conftest import flipped_bst_blob, induced_shapes, random_bst
 from hypertree.bits import BitBuf, MalformedStream
 from hypertree.cover import decompose_binary, decompose_ordinal
 from hypertree import hypercodec
@@ -16,7 +16,7 @@ from hypertree.hypercodec import (
     space_report, write_hst,
 )
 from hypertree.trees import (
-    bp_encode_binary, bp_encode_ordinal, left_chain, ordinal_path, ordinal_star,
+    bp_decode_binary, bp_encode_binary, bp_encode_ordinal, left_chain, ordinal_path, ordinal_star,
     single_node,
 )
 from hypertree import sources as S
@@ -250,8 +250,8 @@ def test_huffman_beats_dfs_competitor(rng):
         cov = decompose_binary(t)
         freq = np.bincount(cov.shape_id, minlength=len(cov.shape_bps))
         code = build_shape_code(dict(zip(cov.shape_bps, freq.tolist())))
-        comp = sum(S.dfs_code_length(bst, cov.shapes[k]) * int(c)
-                   for k, c in enumerate(freq))
+        comp = sum(S.dfs_code_length(bst, bp_decode_binary(BitBuf(bp))) * int(c)
+                   for bp, c in zip(cov.shape_bps, freq))
         assert code.total_bits() <= comp + 1e-6
 
 
@@ -268,7 +268,7 @@ def _assert_parsed_is_cover(parsed, cov):
 
 
 def _symbols(cov) -> list[tuple]:
-    """Each micro tree's joint symbol: its shape BP and its portal fields."""
+    """Each micro tree's joint symbol: its shape BP and its fields."""
     return [(bp, *f) for bp, f in zip(_micro_bps(cov), cov.fields.tolist())]
 
 
@@ -308,15 +308,16 @@ def test_cover_stats_match_layout():
                          "distinctSymbols": len(set(_symbols(cov)))}
         rare.append(1 in Counter(_symbols(cov)).values())
     assert rare[0]
-    cov = decompose_ordinal(S.sample(S.LrmSource(), 400, 4), 3)
+    t = S.sample(S.LrmSource(), 400, 4)
+    cov = decompose_ordinal(t, 3)
     stats = hypercodec.cover_stats(cov)
-    assert stats["m"] == len(cov.micro)
-    assert stats["meanMicroSize"] == sum(mt.size for mt in cov.micro) / len(cov.micro)
-    assert stats["distinctShapes"] == len(
-        {bp_encode_ordinal(mt.shape).to01() for mt in cov.micro})
+    sizes = np.diff(cov.starts)
+    assert stats["m"] == len(sizes)
+    assert stats["meanMicroSize"] == sizes.sum() / len(sizes)
+    shapes = [bp_encode_ordinal(sh).to01() for sh in induced_shapes(t, cov)]
+    assert stats["distinctShapes"] == len(set(shapes))
     assert stats["distinctSymbols"] == len(
-        {(bp_encode_ordinal(mt.shape).to01(), mt.ext_portal, mt.parent_edge_type)
-         for mt in cov.micro})
+        {(bp, *f) for bp, f in zip(shapes, cov.fields.tolist())})
 
 
 def test_parse_one_shape_codebook():
@@ -439,6 +440,28 @@ def test_binary_format_pinned():
         h.update(blob.to_bytes())
         h.update(json.dumps(blob.parts, sort_keys=True).encode())
     assert h.hexdigest() == PINNED_SHA256
+
+
+ORDINAL_PINNED_SHA256 = "f3aff5bfe65998f5f31a35785d0bf8749b26634698a2fec78da1abb2ebf018f0"
+
+
+def test_ordinal_format_pinned():
+    # ordinal blobs and their parts, byte for byte, as the format stood
+    # when the ordinal cover became arrays
+    import hashlib
+    import json
+
+    trees = [S.sample(S.parse_source(spec), size, S.derive_seed("pin", spec, size, 0))
+             for spec, size in (("lrm", 300), ("composition", 300),
+                                ("lrm", 2000), ("composition", 2000))]
+    trees += [ordinal_star(200), ordinal_path(200)]
+    h = hashlib.sha256()
+    for t in trees:
+        for B in (None, 1, 3, 6):
+            blob = hs_encode_ordinal(t, B)
+            h.update(blob.to_bytes())
+            h.update(json.dumps(blob.parts, sort_keys=True).encode())
+    assert h.hexdigest() == ORDINAL_PINNED_SHA256
 
 
 def test_default_blob_below_bp():

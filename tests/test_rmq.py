@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from hypertree.bits import BitBuf, MalformedStream
-from hypertree.cover import decompose_binary
+from hypertree.cover import decompose_ordinal
 from hypertree.rmq import (
     bp_encode_postorder_variant, cartesian_tree, dyck_peaks, lg_narayana,
     rmq_build, runs_profile,
 )
-from hypertree.trees import annotate, bp_encode_binary
+from hypertree.trees import annotate, bp_encode_binary, ordinal_path
 
 PAPER_ARRAY = (2, 3, 4, 1, 6, 5, 7, 9, 10, 8)
 
@@ -60,11 +60,10 @@ def test_rmq_matches_bruteforce(rng):
 
 
 def test_build_restores_gc_state():
-    # rmq_build and the first read of a binary cover's micro trees pause
-    # the collector and leave it as they found it
-    t = cartesian_tree([3, 1, 2, 5, 4])
+    # rmq_build and decompose_ordinal pause the collector and leave it as
+    # they found it
     for build in (lambda: rmq_build([3, 1, 2]),
-                  lambda: decompose_binary(t, 1).micro):
+                  lambda: decompose_ordinal(ordinal_path(5), 1)):
         assert gc.isenabled()
         build()
         assert gc.isenabled()

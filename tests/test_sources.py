@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chisquare
 
-from conftest import figure_tree, random_bst
+from conftest import figure_tree, micro_shapes, random_bst
 from hypertree.cover import decompose_binary, decompose_ordinal
 from hypertree.trees import (
     BinaryTree, OrdinalTree, bp_encode_binary, left_chain, ordinal_path,
@@ -177,7 +177,7 @@ def test_submultiplicativity_over_covers(rng):
         src = rng.choice(srcs)
         t = S.sample(src, rng.randint(2, 400), rng.getrandbits(32))
         cov = decompose_binary(t, rng.choice([None, 1, 2, 4]))
-        lp_mu = sum(src.log_prob(mt.shape).log_prob_bits for mt in cov.micro)
+        lp_mu = sum(src.log_prob(sh).log_prob_bits for sh in micro_shapes(cov))
         lp_t = src.log_prob(t).log_prob_bits
         assert lp_mu <= lp_t + 1e-7
 
@@ -187,7 +187,7 @@ def test_ordinal_submultiplicativity(rng):
         for _ in range(60):
             t = S.sample(src, rng.randint(2, 300), rng.getrandbits(32))
             cov = decompose_ordinal(t, rng.choice([None, 2, 4]))
-            lp_mu = sum(src.log_prob(mt.shape).log_prob_bits for mt in cov.micro)
+            lp_mu = sum(src.log_prob(sh).log_prob_bits for sh in micro_shapes(cov))
             assert lp_mu <= src.log_prob(t).log_prob_bits + 1e-7
 
 
