@@ -13,9 +13,13 @@ same buffers through memoryviews, which return Python ints.
 
 Complexities: every query is O(1). Per-node arrays map a global preorder id
 or inorder rank to its micro tree and local preorder id; per-shape tables
-answer inside a micro tree; a sparse table over the top tier's depths finds
-the LCA of two micro trees. The batch entry points answer numpy arrays of
-queries vectorized.
+answer inside a micro tree; a range minimum over the top tier's depths finds
+the LCA of two micro trees. That range minimum takes O(m) words for m micro
+trees (Bender & Farach-Colton 2000; Fischer & Heun 2011): the micro trees
+are cut into blocks of 16 in preorder, each keeps uint8 offsets to the
+minimum of its block's prefix and suffix and of short windows from it, and
+one sparse table over the block minima covers the whole blocks of a range.
+The batch entry points answer numpy arrays of queries vectorized.
 """
 
 from __future__ import annotations
@@ -24,6 +28,14 @@ import numpy as np
 
 from .cover import BinaryPlacement, ShapeTables
 from .hypercodec import HsBlob, parse_binary_blob
+
+# The top tier's range minimum cuts the micro trees into blocks of _BLOCK in
+# preorder. Its keys hold a depth in the high 32 bits and _POS minus the
+# position in the low ones; _NONE is the key of the sentinel block.
+_LG = 4
+_BLOCK = 1 << _LG
+_POS = (1 << 32) - 1
+_NONE = np.iinfo(np.int64).max
 
 
 def _shape_lca(tables: ShapeTables) -> np.ndarray:
@@ -61,7 +73,7 @@ class NavIndex:
         parent_owner[p.child[p.has]] = p.owner[p.has]
         # one conversion per dtype keeps small builds cheap; rows are views
         ids = np.array([p.sid, p.root_pre, p.in_start, p.up, p.depth,
-                        p.root_pre + p.hang, p.sub[0], p.sub[1]], dtype=np.int32)
+                        p.sub[0], p.sub[1]], dtype=np.int32)
         locs = np.array([p.thr[0], p.thr[1], p.rank[0], p.rank[1], p.owner[0],
                          p.owner[1], parent_owner], dtype=loc)
         # per shape, read flat at [shape * W + local]
@@ -69,7 +81,7 @@ class NavIndex:
 
         view = memoryview
         (self._sid, self._root_pre, self._in_start, self._up, self._depth,
-         self._end, sub0, sub1) = map(view, ids)
+         sub0, sub1) = map(view, ids)
         self._sub = (sub0, sub1)
         self._thr = (view(locs[0]), view(locs[1]))
         self._rank = (view(locs[2]), view(locs[3]))
@@ -78,7 +90,7 @@ class NavIndex:
         self._parent, self._size, self._inorder = map(view, shape)
         # [(shape * W + a) * W + b]
         self._lca = view(_shape_lca(tab).astype(loc).ravel())
-        self._sparse = view(_sparse_table(p.depth))
+        self._offs, self._blocks, self._levels = map(view, _top_tables(p.depth))
 
         # global preorder id -> (micro, local id), and inorder rank -> the
         # same: every local node, placed by the batch kernels
@@ -96,21 +108,48 @@ class NavIndex:
     # -- top tier -------------------------------------------------------------
 
     def _top_lca(self, a: int, b: int) -> int:
-        """LCA of micro trees a, b (0-based) in the top tier: a when b lies in
-        a's preorder subtree, otherwise the parent of the shallowest micro
-        tree in (a, b]."""
-        if a == b:
-            return a
+        """LCA of micro trees a, b (0-based) in the top tier. Take a <= b
+        and p, the shallowest micro tree in preorder [a, b], the rightmost of
+        equal depth. If p is a, b lies in a's subtree and the LCA is a.
+        Otherwise every micro tree in (a, b] lies below the LCA, which has a
+        child there no deeper than a, so p is a child of the LCA.
+
+        p is the shallower of two windows of width 2^k when [a, b] is shorter
+        than a block and inside one; otherwise the shallowest of the part
+        blocks at its two ends and of the whole blocks between them. Each
+        later candidate wins a tie, so a (in the first) loses every tie.
+        """
         if a > b:
             a, b = b, a
-        if self._root_pre[b] < self._end[a]:
-            return a
-        k = (b - a).bit_length() - 1
-        at = k * (self.m + 1) - (1 << k) + 1
-        st, depth = self._sparse, self._depth
-        p1 = st[at + a + 1]
-        p2 = st[at + b - (1 << k) + 1]
-        return self._up[p2 if depth[p2] < depth[p1] else p1]
+        offs, depth = self._offs, self._depth
+        if b - a < _BLOCK - 1 and a >> _LG == b >> _LG:
+            k = (b - a + 1).bit_length() - 1
+            if k == 0:
+                return a
+            row = (k + 1) * self.m
+            j = b - (1 << k) + 1
+            p = a + offs[row + a]
+            q = j + offs[row + j]
+            dp = depth[p]
+        else:
+            p = a + offs[self.m + a]
+            q = b - offs[b]
+            dp = depth[p]
+            ba, bb = a >> _LG, b >> _LG
+            if bb - ba > 1:
+                k = (bb - ba - 1).bit_length() - 1
+                at = self._levels[k]
+                st = self._blocks
+                x = st[at + ba + 1]
+                y = st[at + bb - (1 << k)]
+                if y < x:
+                    x = y
+                if x >> 32 <= dp:
+                    p = _POS - (x & _POS)
+                    dp = x >> 32
+        if depth[q] <= dp:
+            p = q
+        return a if p == a else self._up[p]
 
     # -- coordinate conversion ---------------------------------------------
 
@@ -134,8 +173,15 @@ class NavIndex:
         if mi == mj:
             return self.to_global(mi, self._lca[(self._sid[mi] * W + ul) * W + vl])
         top = self._top_lca(mi, mj)
-        a = ul if top == mi else self._entry_local(top, u)
-        b = vl if top == mj else self._entry_local(top, v)
+        if top == mi:
+            a, b = ul, self._entry_local(top, v)
+        elif top == mj:
+            a, b = self._entry_local(top, u), vl
+        else:
+            # u and v lie below top's two portals, the earlier in preorder
+            # below the first
+            o0, o1 = self._owner
+            a, b = (o0[top], o1[top]) if mi < mj else (o1[top], o0[top])
         return self.to_global(top, self._lca[(self._sid[top] * W + a) * W + b])
 
     def _entry_local(self, i: int, u: int) -> int:
@@ -186,11 +232,17 @@ class NavIndex:
 
     def batch_lca_local(self, mi, ul, mj, vl):
         """Vectorized LCA in (micro, local) coordinates; returns (mw, wl)."""
-        pre_u = self._batch_to_global(mi, ul)
-        pre_v = self._batch_to_global(mj, vl)
         top = self._batch_top_lca(mi, mj)
-        a = np.where(top == mi, ul, self._batch_entry(top, pre_u))
-        b = np.where(top == mj, vl, self._batch_entry(top, pre_v))
+        # u and v below top's two portals, the earlier in preorder below the
+        # first; where top holds u or v, the other's portal by preorder
+        first = mi < mj
+        o0, o1 = self._owner[0].obj[top], self._owner[1].obj[top]
+        a, b = np.where(first, o0, o1), np.where(first, o1, o0)
+        s = np.flatnonzero((top == mi) | (top == mj))
+        if s.size:
+            t, i, j = top[s], mi[s], mj[s]
+            a[s] = np.where(t == i, ul[s], self._batch_entry(t, self._batch_to_global(i, ul[s])))
+            b[s] = np.where(t == j, vl[s], self._batch_entry(t, self._batch_to_global(j, vl[s])))
         W = self._width
         return top, self._lca.obj[(self._sid.obj[top] * W + a) * W + b]
 
@@ -209,14 +261,36 @@ class NavIndex:
     def _batch_top_lca(self, a, b):
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        inside = self._root_pre.obj[hi] < self._end.obj[lo]
-        k = np.frexp(np.maximum(hi - lo, 1))[1].astype(np.int64) - 1
-        at = k * (self.m + 1) - (1 << k) + 1
-        st, depth = self._sparse.obj, self._depth.obj
-        p1 = st[at + np.minimum(lo + 1, hi)]
-        p2 = st[at + hi - (1 << k) + 1]
-        p = np.where(depth[p2] < depth[p1], p2, p1)
-        return np.where(inside, lo, self._up.obj[p])
+        offs, depth = self._offs.obj, self._depth.obj
+        # the part blocks at the two ends, then the whole blocks between
+        p = lo + offs[self.m + lo]
+        q = hi - offs[hi]
+        dp, dq = depth[p], depth[q]
+        p = np.where(dq <= dp, q, p)
+        dp = np.minimum(dp, dq)
+        bl, bh = lo >> _LG, hi >> _LG
+        c = bh - bl - 1
+        k = np.frexp(np.maximum(c, 1))[1] - 1
+        at = self._levels.obj[k]
+        st = self._blocks.obj
+        key = np.minimum(st[at + bl + 1], st[at + bh - (1 << k)])
+        p = np.where((c > 0) & (key >> 32 <= dp), _POS - (key & _POS), p)
+        # ranges shorter than a block and inside one: two windows
+        s = np.flatnonzero((c < 0) & (hi - lo < _BLOCK - 1))
+        if s.size:
+            p[s] = self._batch_windows(lo[s], hi[s])
+        return np.where(p == lo, lo, self._up.obj[p])
+
+    def _batch_windows(self, lo, hi):
+        """Rightmost shallowest micro tree in each [lo, hi], all shorter than
+        a block."""
+        k = np.frexp(hi - lo + 1)[1] - 1
+        row = (k + 1) * self.m
+        j = hi - (1 << k) + 1
+        offs, depth = self._offs.obj, self._depth.obj
+        p = lo + np.where(k > 0, offs[row + lo], 0)
+        q = j + np.where(k > 0, offs[row + j], 0)
+        return np.where(depth[q] <= depth[p], q, p)
 
     def batch_inorder_rank(self, mi, loc):
         j = self._inorder.obj[self._sid.obj[mi] * self._width + loc]
@@ -226,21 +300,38 @@ class NavIndex:
         return r
 
 
-def _sparse_table(depth) -> np.ndarray:
-    """Argmin-depth positions over every power-of-two window of the top
-    tier's depths by preorder, as one int32 array: level k holds the m - 2^k
-    + 1 windows of width 2^k and starts at k (m + 1) - 2^k + 1."""
+def _top_tables(depth):
+    """Range-minimum tables over the top tier's depths in preorder. Micro
+    tree i has the key ``depth[i] << 32 | (_POS - i)``, so the least key is
+    the rightmost of the shallowest. Its M blocks of ``_BLOCK`` keys end in
+    one sentinel block of ``_NONE`` keys. Returns
+
+    - offs, a flat (5, m) uint8 array of distances from i to the least key:
+      row 0 over i's block up to i, row 1 over its block from i on, and rows
+      2-4 over [i, i + 2^k) for k = 1, 2, 3;
+    - a sparse table of the block minima as one int64 array: level k holds
+      the least key over each run of 2^k blocks;
+    - the start of each level in it, k (M + 1) - 2^k + 1.
+    """
     m = len(depth)
-    level = np.arange(m, dtype=np.int32)
-    levels = [level]
-    half = 1
-    while 2 * half <= m:
-        a = level[: m - 2 * half + 1]
-        b = level[half: m - half + 1]
-        level = np.where(depth[b] < depth[a], b, a)
-        levels.append(level)
-        half *= 2
-    return np.concatenate(levels)
+    M = (m + _BLOCK - 1 >> _LG) + 1
+    pos = np.arange(m, dtype=np.int64)
+    keys = np.full(M * _BLOCK, _NONE)
+    keys[:m] = (depth.astype(np.int64) << 32) + (_POS - pos)
+    blk = keys.reshape(M, _BLOCK)
+    win = [keys]
+    for k in (1, 2, 4):
+        win.append(np.minimum(win[-1][:-k], win[-1][k:]))
+    least = np.array([np.minimum.accumulate(blk, axis=1).ravel()[:m],
+                      np.minimum.accumulate(blk[:, ::-1], axis=1)[:, ::-1].ravel()[:m],
+                      win[1][:m], win[2][:m], win[3][:m]])
+    offs = np.abs(_POS - (least & _POS) - pos).astype(np.uint8)
+    levels = [blk.min(axis=1)]
+    while 1 << len(levels) <= M:
+        half = 1 << len(levels) - 1
+        levels.append(np.minimum(levels[-1][:-half], levels[-1][half:]))
+    k = np.arange(len(levels))
+    return offs.ravel(), np.concatenate(levels), k * (M + 1) - (1 << k) + 1
 
 
 def build_nav(blob: HsBlob) -> NavIndex:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .bits import BitBuf, MalformedStream
-from .cover import _gc_paused, decompose_binary, default_block
+from .cover import _gc_paused, decompose_binary
 from .hypercodec import HsBlob, hs_encode_binary
 from .navigate import NavIndex
 from .sources.models import lg_binom
@@ -100,16 +100,13 @@ class RMQIndex:
 
 
 def rmq_build(values, B: int | None = None) -> RMQIndex:
-    """Encode the Cartesian tree of ``values`` and index it. The CLI's
-    ``rmq build`` writes this blob, so both share the block default."""
+    """Encode the Cartesian tree of ``values`` and index it, at the codec's
+    default block unless ``B`` is given. The CLI's ``rmq build`` writes this
+    blob."""
     # with the cyclic collector running, a third of the build's time at
     # n = 10^6 went to collections
     with _gc_paused():
         t = cartesian_tree(values)
-        if B is None:
-            # slightly larger blocks than the code default: the query layer
-            # pays per micro tree, and desk-scale inputs want fewer of them
-            B = max(default_block(t.n), 6)
         cover = decompose_binary(t, B)
         return RMQIndex(NavIndex(cover), t.n, hs_encode_binary(t, cover=cover))
 

@@ -431,10 +431,12 @@ def test_binary_format_pinned():
         t = S.sample(S.parse_source(spec), size, S.derive_seed("pin", spec, size, 0))
         blobs += [hs_encode_binary(t, B) for B in (None, 1, 3, 6)]
     blobs.append(hs_encode_binary(S.sample(S.UniformSource(), 30000, 11)))
+    # the RMQ blobs were pinned at B = 6, rmq_build's default until it took
+    # the codec's
     rng = random.Random(8)
     for n in (1000, 5000):
-        blobs.append(rmq_build(rng.sample(range(n), n)).blob)
-    blobs.append(rmq_build([rng.randint(0, 50) for _ in range(3000)]).blob)
+        blobs.append(rmq_build(rng.sample(range(n), n), 6).blob)
+    blobs.append(rmq_build([rng.randint(0, 50) for _ in range(3000)], 6).blob)
     h = hashlib.sha256()
     for blob in blobs:
         h.update(blob.to_bytes())

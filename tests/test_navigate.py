@@ -12,7 +12,8 @@ from hypertree.bits import MalformedStream
 from hypertree.cover import decompose_binary
 from hypertree.hypercodec import hs_encode_binary, hs_encode_ordinal
 from hypertree.navigate import NavIndex, build_nav
-from hypertree.trees import annotate, left_chain, ordinal_star, single_node
+from hypertree.rmq import rmq_build
+from hypertree.trees import annotate, left_chain, ordinal_star, right_chain, single_node
 from hypertree import sources as S
 
 
@@ -115,6 +116,49 @@ def test_oracle_equivalence(rng):
         assert got.tolist() == [ann.inorder_rank[lca(a, b)] for a, b in pairs]
 
 
+# micro trees per block of the top tier's range-minimum tables
+BLOCK = 16
+
+
+@pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1,
+                               5 * BLOCK + 3])
+def test_top_tier_block_edges(m):
+    # at B = 1 every node is a micro tree, so the top tier is the tree, and
+    # the pairs of nodes are every range of micro trees: inside one block,
+    # across one boundary and over whole blocks
+    trees = [left_chain(m), right_chain(m), S.sample(S.BstSource(), m, 5),
+             S.sample(S.UniformSource(), m, 5)]
+    for t in trees:
+        cov = decompose_binary(t, 1)
+        idx = build_nav(hs_encode_binary(t, cover=cov)) if m % 2 else NavIndex(cov)
+        assert idx.m == m
+        ann, par, lca = brute_tables(t)
+        u, v = (x.ravel().tolist() for x in np.indices((m, m)) + 1)
+        want = [lca(a, b) for a, b in zip(u, v)]
+        assert [idx.lca(a, b) for a, b in zip(u, v)] == want
+        rank = np.asarray(ann.inorder_rank)
+        mi, ul = idx.batch_select_local(rank[u])
+        mj, vl = idx.batch_select_local(rank[v])
+        got = idx.batch_inorder_rank(*idx.batch_lca_local(mi, ul, mj, vl))
+        assert got.tolist() == rank[want].tolist()
+
+
+def test_rmq_near_block_multiples(rng):
+    # one micro tree per key, so m = n falls on and next to block multiples;
+    # few distinct keys give many ties
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1):
+        for hi in (3, 10 ** 6):
+            A = [rng.randint(0, hi) for _ in range(n)]
+            idx = rmq_build(A, 1)
+            assert idx.nav.m == n
+            li, ri = np.triu_indices(n)
+            li, ri = li + 1, ri + 1
+            want = [min(range(i, j + 1), key=lambda k: A[k - 1])
+                    for i, j in zip(li.tolist(), ri.tolist())]
+            assert [idx.query(i, j) for i, j in zip(li.tolist(), ri.tolist())] == want
+            assert idx.query_many(li, ri).tolist() == want
+
+
 def _deep_size(root) -> int:
     """Bytes of every object reachable from root, each counted once, numpy
     buffers included; classes, modules and functions left out."""
@@ -140,7 +184,7 @@ def test_index_memory_bound():
     t = S.sample(S.UniformSource(), n, 11)
     idx = build_nav(hs_encode_binary(t))
     per_node = _deep_size(idx) / n
-    assert per_node <= 80, per_node
+    assert per_node <= 45, per_node
 
 
 def test_lca_trivial_identities(rng):
