@@ -10,13 +10,28 @@ them; a node at which a seal happened never travels upward, which is what
 keeps that invariant.
 
 Both covers are arrays, after Farzan & Munro's statement of the cover as
-arrays of micro-tree records, with the same names (``_Cover``). The binary
-greedy loop keeps one "merged into" pointer per component and a flat list of
-(node, side) portals; the pointers are resolved by numpy pointer jumping,
-micro trees are numbered by the preorder of their roots (the top tier's
-preorder), and each gets a shape id from the bytes of its (size, local left
-children, local right children) row. An ordinal micro tree's row is its
-size and the local parent of each node.
+arrays of micro-tree records, with the same names (``_Cover``).
+
+The binary cover applies the sealing rule with whole-array steps, as a
+segmentation of heavy paths. A node is heavy when its subtree has at least
+``B`` nodes. A light subtree never reaches ``B``, so it is never sealed and
+ends in the component of its nearest heavy ancestor. A heavy node with two
+light children reaches ``B`` with its whole subtree, which is sealed at
+once. One with two heavy children seals both and stays alone, with a portal
+on each side. The other heavy nodes, those with one heavy child, form
+chains, each hanging from a sealed component. Going up a chain, a component
+starts at a node s whose heavy child is sealed (a portal on s's heavy
+side), takes in each chain node u with its light subtree, which makes
+size[u] - size[s's heavy child] nodes, and is sealed at the first u where
+that reaches ``B``; the next one starts above u. So one ``searchsorted``
+over per-chain (chain, size) keys gives every segment's end, the starts are
+the orbit of each chain's bottom under "the start after my end" (marked by
+pointer doubling), and each node's component is its nearest component root
+(a segment's top, a branching node, a sealed subtree or node 1), found by
+pointer jumping. Micro trees are numbered by the preorder of their roots
+(the top tier's preorder), and each gets a shape id from the bytes of its
+(size, local left children, local right children) row. An ordinal micro
+tree's row is its size and the local parent of each node.
 
 A binary layout is five names: ``n``, ``top_tier``, ``shape_bps`` (the
 distinct shapes' BP strings), ``shape_id`` (one per micro tree) and
@@ -318,70 +333,59 @@ def decompose_binary(t: BinaryTree, B: int | None = None) -> BinaryCover:
         B = default_block(n)
     if B < 1:
         raise ValueError("B must be >= 1")
-    left, right = t.left, t.right
-    # A component is named by the node that started it. Merging component
-    # c into d sets into[c] = d; portals are (node, side) pairs, owned by
-    # the micro tree of their node.
-    size = [0] * (n + 1)
-    comp_of = [0] * (n + 1)
-    csize = [0] * (n + 1)
-    perm = [False] * (n + 1)
-    into = list(range(n + 1))
-    pnode: list[int] = []
-    pside: list[int] = []
-    for v in range(n, 0, -1):
-        l, r = left[v], right[v]
-        sl, sr = size[l], size[r]
-        size[v] = 1 + sl + sr
-        lc, rc = comp_of[l], comp_of[r]
-        if sl >= B:
-            if sr >= B:
-                # branching node: seal everything, v stays alone
-                perm[lc] = perm[rc] = perm[v] = True
-                csize[v] = 1
-                comp_of[v] = v
-                pnode += (v, v)
-                pside += (0, 1)
-                continue
-            hc, other, side = lc, rc, 0
-        elif sr >= B:
-            hc, other, side = rc, lc, 1
-        else:
-            # both light: v joins its left child's component, which a light
-            # subtree never seals, so ``side`` is not read below
-            hc, other = lc, rc
-        if perm[hc]:
-            c = v
-            csize[v] = 1
-            pnode.append(v)
-            pside.append(side)
-        elif hc:
-            c = hc
-            csize[c] += 1
-        else:
-            c = v
-            csize[v] = 1
-        if other:
-            into[other] = c
-            csize[c] += csize[other]
-        if csize[c] >= B:
-            perm[c] = True
-        comp_of[v] = c
-    return _finalize_binary(t, B, comp_of, into, pnode, pside)
+    left, right, parent, size = _binary_links(t)
+    heavy = size >= B
+    hl, hr = heavy[left], heavy[right]
+    branch = hl & hr
+    on_chain = heavy & (hl != hr)
+    # a chain's nodes are consecutive among the heavy nodes in preorder (what
+    # lies between two of them is in a light subtree), so in descending ids
+    # each chain is one run from its bottom up, its sizes increasing
+    pos = np.flatnonzero(on_chain)[::-1]
+    L = len(pos)
+    hchild = np.where(hl, left, right)[pos]
+    bottom = ~on_chain[hchild]
+    cid = np.cumsum(bottom) - 1
+    key = cid * (n + 1) + size[pos]
+    # a segment from start s ends at the first u above it holding
+    # size[u] - size[s's heavy child] >= B nodes, and the next starts above
+    # u; a segment with no such u runs to its chain's top, and L stands for
+    # no next start
+    want = np.minimum(size[hchild] + B, n + 1)
+    nxt = np.searchsorted(key, cid * (n + 1) + want) + 1
+    nxt[np.append(cid, -1)[np.minimum(nxt, L)] != cid] = L
+    nxt = np.append(nxt, L)
+    # the starts: the orbit of each chain's bottom under nxt, by doubling
+    # (the sentinel L counts as marked)
+    start = np.append(bottom, True)
+    while True:
+        hit = nxt[np.flatnonzero(start)]
+        if start[hit].all():
+            break
+        start[hit] = True
+        nxt = nxt[nxt]
+    start = np.flatnonzero(start[:L])
+    # component roots: segment tops (below a start, or a chain's top),
+    # branching nodes, sealed subtrees and node 1
+    top = cid != np.append(cid[1:], -1)
+    top[start[start > 0] - 1] = True
+    is_root = branch | (heavy & ~hl & ~hr)
+    is_root[pos[top]] = True
+    is_root[1] = True
+    ids = np.arange(n + 1)
+    comp = _follow(np.where(is_root, ids, parent))
+    # portals: both sides of a branching node, the heavy side of a start
+    fork = np.flatnonzero(branch)
+    s = pos[start]
+    pnode = np.concatenate((fork, fork, s))
+    pside = np.concatenate((np.zeros_like(fork), np.ones_like(fork), hr[s]))
+    return _finalize_binary(B, left, right, parent, comp, pnode, pside)
 
 
-def _finalize_binary(t: BinaryTree, B: int, comp_of, into, pnode, pside) -> BinaryCover:
-    n = t.n
-    # resolve each node's component through the merge pointers
-    into = _follow(np.asarray(into, dtype=np.int64))
-    comp = into[np.asarray(comp_of, dtype=np.int64)]
-    left = np.asarray(t.left, dtype=np.int64)
-    right = np.asarray(t.right, dtype=np.int64)
-    ids = np.arange(n + 1, dtype=np.int64)
-    parent = np.zeros(n + 1, dtype=np.int64)
-    parent[left] = ids
-    parent[right] = ids
-    parent[0] = 0
+def _finalize_binary(B: int, left, right, parent, comp, pnode, pside) -> BinaryCover:
+    """The cover of a partition into components (``comp``, a label per
+    node) and its portals, (``pnode``, ``pside``) pairs."""
+    n = len(left) - 1
     # micro trees in the preorder of their roots: the top tier's preorder
     roots = np.flatnonzero(comp[1:] != comp[parent[1:]]) + 1
     m = len(roots)
@@ -423,11 +427,9 @@ def _finalize_binary(t: BinaryTree, B: int, comp_of, into, pnode, pside) -> Bina
 
     # portals in (owner, null rank) order, which is their preorder; a micro
     # tree's first portal holds its top-tier left child, the second its right
-    pn = np.asarray(pnode, dtype=np.int64)
-    side = np.asarray(pside, dtype=np.int64)
-    owner = node_micro[pn]
-    rank = ShapeTables(shape_bps).inorder[shape_id[owner], loc_of[pn]] - 1 + side
-    child = node_micro[np.where(side == 0, left[pn], right[pn])]
+    owner = node_micro[pnode]
+    rank = ShapeTables(shape_bps).inorder[shape_id[owner], loc_of[pnode]] - 1 + pside
+    child = node_micro[np.where(pside == 0, left[pnode], right[pnode])]
     o = np.lexsort((rank, owner))
     owner, rank, child = owner[o], rank[o], child[o]
     if (owner[2:] == owner[:-2]).any():
@@ -658,26 +660,35 @@ def _parent_size(t: BinaryTree | OrdinalTree):
     """Each node's parent and subtree size (entry 0 is 0). A subtree ends
     at its last node in preorder, found by following last children with
     pointer jumping."""
+    if isinstance(t, BinaryTree):
+        return _binary_links(t)[2:]
     n = t.n
     ids = np.arange(n + 1)
-    if isinstance(t, BinaryTree):
-        left = np.asarray(t.left, dtype=np.int64)
-        right = np.asarray(t.right, dtype=np.int64)
-        parent = np.zeros(n + 1, dtype=np.int64)
-        parent[left] = ids
-        parent[right] = ids
-        parent[0] = 0
-        last = np.where(right != 0, right, np.where(left != 0, left, ids))
-    else:
-        kids, deg = _ordinal_links(t)
-        parent = np.zeros(n + 1, dtype=np.int64)
-        parent[kids] = np.repeat(ids[1:], deg)
-        last = ids.copy()
-        has = deg > 0
-        last[1:][has] = kids[np.cumsum(deg)[has] - 1]
+    kids, deg = _ordinal_links(t)
+    parent = np.zeros(n + 1, dtype=np.int64)
+    parent[kids] = np.repeat(ids[1:], deg)
+    last = ids.copy()
+    has = deg > 0
+    last[1:][has] = kids[np.cumsum(deg)[has] - 1]
     size = _follow(last) - ids + 1
     size[0] = 0
     return parent, size
+
+
+def _binary_links(t: BinaryTree):
+    """Each node's left child, right child, parent and subtree size, as
+    arrays (entry 0 is 0); ``_parent_size`` gives the last two."""
+    n = t.n
+    ids = np.arange(n + 1)
+    left = np.asarray(t.left, dtype=np.int64)
+    right = np.asarray(t.right, dtype=np.int64)
+    parent = np.zeros(n + 1, dtype=np.int64)
+    parent[left] = ids
+    parent[right] = ids
+    parent[0] = 0
+    size = _follow(np.where(right != 0, right, np.where(left != 0, left, ids))) - ids + 1
+    size[0] = 0
+    return left, right, parent, size
 
 
 # ---------------------------------------------------------------------------

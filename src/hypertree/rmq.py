@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .bits import BitBuf, MalformedStream
-from .cover import _gc_paused, decompose_binary
+from .cover import decompose_binary
 from .hypercodec import HsBlob, hs_encode_binary
 from .navigate import NavIndex
 from .sources.models import lg_binom
@@ -103,12 +103,9 @@ def rmq_build(values, B: int | None = None) -> RMQIndex:
     """Encode the Cartesian tree of ``values`` and index it, at the codec's
     default block unless ``B`` is given. The CLI's ``rmq build`` writes this
     blob."""
-    # with the cyclic collector running, a third of the build's time at
-    # n = 10^6 went to collections
-    with _gc_paused():
-        t = cartesian_tree(values)
-        cover = decompose_binary(t, B)
-        return RMQIndex(NavIndex(cover), t.n, hs_encode_binary(t, cover=cover))
+    t = cartesian_tree(values)
+    cover = decompose_binary(t, B)
+    return RMQIndex(NavIndex(cover), t.n, hs_encode_binary(t, cover=cover))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,84 @@ import pytest
 from conftest import induced_shapes, micro_shapes, random_bst
 from hypertree.cover import (
     BinaryCover, CoverStats, EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_NEW_LEFT,
-    EDGE_NEW_RIGHT, ShapeTables, decompose_binary, decompose_ordinal,
-    default_block, validate_cover,
+    EDGE_NEW_RIGHT, ShapeTables, _binary_links, _finalize_binary, _follow,
+    decompose_binary, decompose_ordinal, default_block, validate_cover,
 )
+from hypertree.sources.counting import iter_shapes, shape_to_tree
 from hypertree.trees import (
     BinaryTree, OrdinalTree, annotate, bp_encode_binary, left_chain,
-    ordinal_path, ordinal_star,
+    ordinal_path, ordinal_star, right_chain,
 )
 from hypertree import sources as S
+
+
+def greedy_binary(t: BinaryTree, B: int | None = None) -> BinaryCover:
+    """The binary cover by the greedy sealing loop, node by node bottom-up:
+    the reference that ``decompose_binary`` must match."""
+    n = t.n
+    if B is None:
+        B = default_block(n)
+    left, right = t.left, t.right
+    # A component is named by the node that started it. Merging component
+    # c into d sets into[c] = d; portals are (node, side) pairs, owned by
+    # the micro tree of their node.
+    size = [0] * (n + 1)
+    comp_of = [0] * (n + 1)
+    csize = [0] * (n + 1)
+    perm = [False] * (n + 1)
+    into = list(range(n + 1))
+    pnode: list[int] = []
+    pside: list[int] = []
+    for v in range(n, 0, -1):
+        l, r = left[v], right[v]
+        sl, sr = size[l], size[r]
+        size[v] = 1 + sl + sr
+        lc, rc = comp_of[l], comp_of[r]
+        if sl >= B:
+            if sr >= B:
+                # branching node: seal everything, v stays alone
+                perm[lc] = perm[rc] = perm[v] = True
+                csize[v] = 1
+                comp_of[v] = v
+                pnode += (v, v)
+                pside += (0, 1)
+                continue
+            hc, other, side = lc, rc, 0
+        elif sr >= B:
+            hc, other, side = rc, lc, 1
+        else:
+            # both light: v joins its left child's component, which a light
+            # subtree never seals, so ``side`` is not read below
+            hc, other = lc, rc
+        if perm[hc]:
+            c = v
+            csize[v] = 1
+            pnode.append(v)
+            pside.append(side)
+        elif hc:
+            c = hc
+            csize[c] += 1
+        else:
+            c = v
+            csize[v] = 1
+        if other:
+            into[other] = c
+            csize[c] += csize[other]
+        if csize[c] >= B:
+            perm[c] = True
+        comp_of[v] = c
+    # resolve each node's component through the merge pointers
+    comp = _follow(np.asarray(into, dtype=np.int64))[np.asarray(comp_of, dtype=np.int64)]
+    lft, rgt, parent, _ = _binary_links(t)
+    return _finalize_binary(B, lft, rgt, parent, comp, np.asarray(pnode, dtype=np.int64),
+                            np.asarray(pside, dtype=np.int64))
+
+
+def assert_same_cover(a: BinaryCover, b: BinaryCover, what):
+    assert (a.n, a.B, a.shape_bps) == (b.n, b.B, b.shape_bps), what
+    for name in ("members", "starts", "shape_id", "fields"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), (what, name)
+    assert a.top_tier == b.top_tier, what
 
 
 def balanced_tree(n):
@@ -291,3 +361,27 @@ def test_ordinal_34_nodes_block6(rng):
         assert isinstance(validate_cover(cov, t), CoverStats)
         assert np.diff(cov.starts).max() <= 12
         assert 2 <= len(cov.shape_id) <= 8 * 34 // 6
+
+
+def test_matches_greedy_every_small_tree():
+    # every binary tree of up to 8 nodes, at every B that splits it
+    for n in range(1, 9):
+        for shape in iter_shapes(n):
+            t = shape_to_tree(shape)
+            for B in (1, 2, 3, 4):
+                assert_same_cover(decompose_binary(t, B), greedy_binary(t, B), (t, B))
+
+
+@pytest.mark.parametrize("source", [S.BstSource(), S.UniformSource()], ids=["bst", "uniform"])
+def test_matches_greedy_random_trees(source):
+    for n in (9, 50, 333, 1000, 5000):
+        t = S.sample(source, n, S.derive_seed("greedy", n))
+        for B in (1, 2, 3, 4, 6, 9, None):
+            assert_same_cover(decompose_binary(t, B), greedy_binary(t, B), (n, B))
+
+
+def test_matches_greedy_chains():
+    for n in (1, 2, 3, 5, 8, 13, 64, 100, 999, 3000):
+        for t in (left_chain(n), right_chain(n)):
+            for B in (1, 2, 3, 7):
+                assert_same_cover(decompose_binary(t, B), greedy_binary(t, B), (t, B))
