@@ -326,14 +326,18 @@ class _Comp:
 # binary decomposition
 
 def decompose_binary(t: BinaryTree, B: int | None = None) -> BinaryCover:
-    n = t.n
-    if n < 1:
+    if t.n < 1:
         raise ValueError("cannot decompose the empty tree")
+    return _decompose_binary_links(t.n, B, *_binary_links(t))
+
+
+def _decompose_binary_links(n: int, B: int | None, left, right, parent, size) -> BinaryCover:
+    """The cover of the binary tree of n >= 1 nodes with these links (what
+    ``_binary_links`` gives)."""
     if B is None:
         B = default_block(n)
     if B < 1:
         raise ValueError("B must be >= 1")
-    left, right, parent, size = _binary_links(t)
     heavy = size >= B
     hl, hr = heavy[left], heavy[right]
     branch = hl & hr

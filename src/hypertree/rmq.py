@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .bits import BitBuf, MalformedStream
-from .cover import decompose_binary
-from .hypercodec import HsBlob, hs_encode_binary
+from .cover import _decompose_binary_links
+from .hypercodec import HsBlob, _write_blob
 from .navigate import NavIndex
 from .sources.models import lg_binom
 from .trees import BinaryTree
@@ -21,49 +23,63 @@ from .trees import BinaryTree
 def cartesian_tree(values) -> BinaryTree:
     """Min-rooted Cartesian tree; ties resolve to the leftmost minimum, which
     is fixed at construction time. Node with inorder rank j holds values[j-1]."""
+    left, right, _, _ = _cartesian_links(values)
+    return BinaryTree(len(left) - 1, left.tolist(), right.tolist())
+
+
+def _cartesian_links(values):
+    """The Cartesian tree's left child, right child, parent and subtree size
+    by preorder id, as int64 arrays (entry 0 is 0): what
+    ``cover._binary_links`` gives for ``cartesian_tree(values)``.
+
+    One stack pass over the values is the only place they are compared, so
+    any comparable sequence works. Position j (its inorder id) records
+    ``psv[j]``, the stack top it lands on (its nearest smaller-or-equal
+    value to the left, 0 for none), and ``nsv[x] = j`` for each x it pops
+    (x's nearest smaller value to the right, n + 1 for none). The rest is
+    array arithmetic:
+
+    - j's subtree is the inorder interval (psv[j], nsv[j]);
+    - j is the left child of k = nsv[j] when k popped nothing below j, that
+      is when psv[k] == psv[j]; otherwise the right child of psv[j] (the
+      root if that is 0);
+    - j's preorder id is psv[j] + 1 plus the number of its ancestors to its
+      right. Every node k <= psv[j] precedes j in preorder, every other node
+      before j is such an ancestor, and the nodes k with psv[k] < j are
+      exactly the j nodes up to j and those ancestors. So a cumulative
+      count of psv gives every preorder id, with no sort and no walk.
+    """
     n = len(values)
     if n < 1:
         raise ValueError("empty array")
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    stack: list[int] = []  # rightmost spine, indices 1..n (inorder ids)
-    for j in range(1, n + 1):
-        x = values[j - 1]
-        last = 0
-        while stack and values[stack[-1] - 1] > x:
-            last = stack.pop()
-        left[j] = last
-        if stack:
-            right[stack[-1]] = j
-        stack.append(j)
-    root = stack[0]
-    # renumber to preorder (the original index is the inorder rank; the
-    # renumbering preserves inorder order)
-    nl = [0] * (n + 1)
-    nr = [0] * (n + 1)
-    idx = [0] * (n + 1)
-    work = [root]
-    cnt = 0
-    while work:
-        v = work.pop()
-        cnt += 1
-        idx[v] = cnt
-        if right[v]:
-            work.append(right[v])
-        if left[v]:
-            work.append(left[v])
-    work = [root]
-    while work:
-        v = work.pop()
-        i = idx[v]
-        l, r = left[v], right[v]
-        if l:
-            nl[i] = idx[l]
-            work.append(l)
-        if r:
-            nr[i] = idx[r]
-            work.append(r)
-    return BinaryTree(n, nl, nr)
+    psv = [0] * (n + 1)
+    nsv = [0] + [n + 1] * n
+    ids = [0]  # the rightmost spine, over a sentinel id 0 with no value
+    top = []   # the values of ids[1:]
+    for j, x in enumerate(values, 1):
+        while top and top[-1] > x:
+            top.pop()
+            nsv[ids.pop()] = j
+        psv[j] = ids[-1]
+        ids.append(j)
+        top.append(x)
+    psv = np.fromiter(psv, np.int64, n + 1)
+    nsv = np.fromiter(nsv, np.int64, n + 1)
+    j = np.arange(n + 1)
+    is_left = np.append(psv, -1)[nsv] == psv
+    below = np.cumsum(np.bincount(psv[1:], minlength=n + 1))
+    pre = psv + 1 + below[j - 1] - j
+    pre[0] = 0
+    up = pre[np.where(is_left, nsv, psv)]
+    kids = np.zeros((2, n + 1), dtype=np.int64)
+    kids[1 - is_left, up] = pre
+    kids[:, 0] = 0
+    parent = np.zeros(n + 1, dtype=np.int64)
+    parent[pre] = up
+    size = np.zeros(n + 1, dtype=np.int64)
+    size[pre] = nsv - psv - 1
+    size[0] = 0
+    return kids[0], kids[1], parent, size
 
 
 class RMQIndex:
@@ -84,8 +100,6 @@ class RMQIndex:
 
     def query_many(self, li, ri):
         """Vectorized queries; numpy arrays of 1-based interval endpoints."""
-        import numpy as np
-
         li = np.asarray(li, dtype=np.int64)
         ri = np.asarray(ri, dtype=np.int64)
         if li.shape != ri.shape:
@@ -103,9 +117,9 @@ def rmq_build(values, B: int | None = None) -> RMQIndex:
     """Encode the Cartesian tree of ``values`` and index it, at the codec's
     default block unless ``B`` is given. The CLI's ``rmq build`` writes this
     blob."""
-    t = cartesian_tree(values)
-    cover = decompose_binary(t, B)
-    return RMQIndex(NavIndex(cover), t.n, hs_encode_binary(t, cover=cover))
+    cover = _decompose_binary_links(len(values), B, *_cartesian_links(values))
+    blob = _write_blob("binary", cover.n, cover.shape_bps, cover.shape_id, cover.fields)
+    return RMQIndex(NavIndex(cover), cover.n, blob)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ sentinel. All traversals are iterative so degenerate trees of any size work.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .bits import BitBuf, MalformedStream
@@ -128,11 +130,20 @@ def bp_encode_binary(t: BinaryTree, out: BitBuf | None = None) -> BitBuf:
     depth = np.zeros(n + 1, dtype=np.int64)
     depth[left] = 1
     up[0] = depth[0] = 0
+    return _bp_opens(up, depth, out)
+
+
+def _bp_opens(up: np.ndarray, depth: np.ndarray, out: BitBuf | None) -> BitBuf:
+    """The BP string of nodes 1..n in preorder where node v opens at
+    2(v - 1) minus the sum of ``depth`` over v and its ancestors, whose
+    parent links are ``up`` (0 above a root); appended to ``out`` if given.
+    The sums are taken by pointer doubling."""
     while up.any():
         depth += depth[up]
         up = up[up]
+    n = len(up) - 1
     bits = np.zeros(2 * n, dtype=np.uint8)
-    bits[2 * ids[1:] - 2 - depth[1:]] = 1
+    bits[2 * np.arange(n) - depth[1:]] = 1
     buf = BitBuf.from_array(bits)
     if out is None:
         return buf
@@ -206,23 +217,22 @@ def binary_from_child_flags(has_left: np.ndarray, has_right: np.ndarray) -> Bina
 
 
 def bp_encode_ordinal(forest: Forest | OrdinalTree, out: BitBuf | None = None) -> BitBuf:
-    """BP_o(t) = "(" BP_o(t_1) ... BP_o(t_k) ")"; concatenated over a forest."""
-    buf = out if out is not None else BitBuf()
-    trees = [forest] if isinstance(forest, OrdinalTree) else forest
-    for t in trees:
-        if not t.n:
-            continue
-        ch = t.children
-        stack = [t.root]
-        while stack:
-            v = stack.pop()
-            if v == 0:
-                buf.append_bit(0)
-                continue
-            buf.append_bit(1)
-            stack.append(0)
-            stack.extend(reversed(ch[v]))
-    return buf
+    """BP_o(t) = "(" BP_o(t_1) ... BP_o(t_k) ")"; concatenated over a forest.
+
+    Vectorized like ``bp_encode_binary``: with the trees' nodes numbered
+    1, 2, ... in preorder across the forest, node v opens at 2(v - 1) minus
+    its depth (every earlier node has closed but its ancestors).
+    """
+    trees = [t for t in ([forest] if isinstance(forest, OrdinalTree) else forest) if t.n]
+    sizes = np.array([t.n for t in trees], dtype=np.int64)
+    n = int(sizes.sum())
+    deg = np.fromiter(chain.from_iterable(map(len, t.children[1:]) for t in trees), np.int64, n)
+    kids = np.fromiter(chain.from_iterable(chain.from_iterable(t.children[1:]) for t in trees),
+                       np.int64, n - len(trees))
+    first = np.cumsum(sizes) - sizes  # each tree's id offset
+    up = np.zeros(n + 1, dtype=np.int64)
+    up[kids + np.repeat(first, sizes - 1)] = np.repeat(np.arange(1, n + 1), deg)
+    return _bp_opens(up, (up != 0).astype(np.int64), out)
 
 
 def bp_decode_ordinal(buf: BitBuf, forest: bool = False):

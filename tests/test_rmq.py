@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 from hypertree.bits import BitBuf, MalformedStream
-from hypertree.cover import decompose_ordinal
+from hypertree.cover import _binary_links, decompose_ordinal
+from hypertree.hypercodec import hs_encode_binary
 from hypertree.rmq import (
-    bp_encode_postorder_variant, cartesian_tree, dyck_peaks, lg_narayana,
-    rmq_build, runs_profile,
+    _cartesian_links, bp_encode_postorder_variant, cartesian_tree, dyck_peaks,
+    lg_narayana, rmq_build, runs_profile,
 )
-from hypertree.trees import annotate, bp_encode_binary, ordinal_path
+from hypertree.trees import BinaryTree, annotate, bp_encode_binary, ordinal_path
 
 PAPER_ARRAY = (2, 3, 4, 1, 6, 5, 7, 9, 10, 8)
 
@@ -22,6 +24,102 @@ def brute_rmq(A, i, j):
         if A[k - 1] < A[best - 1]:
             best = k
     return best
+
+
+def cartesian_tree_walk(values) -> BinaryTree:
+    """The stack pass and the two preorder walks that ``cartesian_tree``
+    used to run: the reference its nearest-smaller-values form must match."""
+    n = len(values)
+    if n < 1:
+        raise ValueError("empty array")
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    stack: list[int] = []  # rightmost spine, indices 1..n (inorder ids)
+    for j in range(1, n + 1):
+        x = values[j - 1]
+        last = 0
+        while stack and values[stack[-1] - 1] > x:
+            last = stack.pop()
+        left[j] = last
+        if stack:
+            right[stack[-1]] = j
+        stack.append(j)
+    root = stack[0]
+    # renumber to preorder (the original index is the inorder rank; the
+    # renumbering preserves inorder order)
+    nl = [0] * (n + 1)
+    nr = [0] * (n + 1)
+    idx = [0] * (n + 1)
+    work = [root]
+    cnt = 0
+    while work:
+        v = work.pop()
+        cnt += 1
+        idx[v] = cnt
+        if right[v]:
+            work.append(right[v])
+        if left[v]:
+            work.append(left[v])
+    work = [root]
+    while work:
+        v = work.pop()
+        i = idx[v]
+        l, r = left[v], right[v]
+        if l:
+            nl[i] = idx[l]
+            work.append(l)
+        if r:
+            nr[i] = idx[r]
+            work.append(r)
+    return BinaryTree(n, nl, nr)
+
+
+def assert_same_cartesian(values):
+    want = cartesian_tree_walk(values)
+    assert cartesian_tree(values) == want, values
+    for got, ref in zip(_cartesian_links(values), _binary_links(want)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), values
+
+
+def test_cartesian_matches_walk_every_small_array():
+    count = 0
+    for n in range(1, 8):
+        for values in itertools.product(range(3), repeat=n):
+            assert_same_cartesian(values)
+            count += 1
+    assert count == 3279
+
+
+def test_cartesian_matches_walk_random(rng):
+    for top in (3, 10**9):
+        for _ in range(40):
+            n = rng.choice([rng.randint(1, 60), rng.randint(1, 5000)])
+            assert_same_cartesian([rng.randint(0, top) for _ in range(n)])
+
+
+def test_rmq_blob_is_the_codec_blob(rng):
+    # rmq_build covers the links directly; its blob is the tree codec's
+    for _ in range(30):
+        n = rng.randint(1, 3000)
+        values = [rng.randint(0, rng.choice([3, 10**9])) for _ in range(n)]
+        for B in (None, 1, 4):
+            want = hs_encode_binary(cartesian_tree_walk(values), B).to_bytes()
+            assert rmq_build(values, B).blob.to_bytes() == want
+
+
+def test_cartesian_matches_walk_mixed_types(rng):
+    for _ in range(50):
+        n = rng.randint(1, 300)
+        assert_same_cartesian([rng.choice([rng.randint(0, 9), rng.randint(0, 18) / 2])
+                               for _ in range(n)])
+        assert_same_cartesian([(rng.randint(0, 2), rng.randint(0, 3)) for _ in range(n)])
+    assert_same_cartesian((1.0, 1, 0.5, 2, 0, 0.0))
+
+
+def test_cartesian_matches_walk_monotone():
+    for n in (1, 2, 3, 17, 1000, 3000):
+        for values in ([7] * n, list(range(n)), list(range(n, 0, -1))):
+            assert_same_cartesian(values)
 
 
 def test_paper_array():
@@ -60,8 +158,8 @@ def test_rmq_matches_bruteforce(rng):
 
 
 def test_build_restores_gc_state():
-    # rmq_build and decompose_ordinal pause the collector and leave it as
-    # they found it
+    # decompose_ordinal pauses the collector; neither it nor rmq_build may
+    # leave the collector otherwise than they found it
     for build in (lambda: rmq_build([3, 1, 2]),
                   lambda: decompose_ordinal(ordinal_path(5), 1)):
         assert gc.isenabled()

@@ -105,6 +105,41 @@ def test_bp_ordinal_roundtrip_forest(rng):
         assert back == f
 
 
+def bp_encode_ordinal_walk(forest, out=None):
+    """The stack walk that ``bp_encode_ordinal`` used to run, one bit at a
+    time: the reference its vectorized form must match."""
+    buf = out if out is not None else BitBuf()
+    trees = [forest] if isinstance(forest, OrdinalTree) else forest
+    for t in trees:
+        if not t.n:
+            continue
+        ch = t.children
+        stack = [t.root]
+        while stack:
+            v = stack.pop()
+            if v == 0:
+                buf.append_bit(0)
+                continue
+            buf.append_bit(1)
+            stack.append(0)
+            stack.extend(reversed(ch[v]))
+    return buf
+
+
+def test_bp_ordinal_matches_walk(rng):
+    cases = [[], [OrdinalTree(0, [[]])], ordinal_star(1), ordinal_star(30),
+             ordinal_path(1), ordinal_path(500), [ordinal_path(3), ordinal_star(4)]]
+    cases += [rand_forest(rng, max_trees=6) for _ in range(300)]
+    cases += [f[0] for f in cases[-100:]]
+    for f in cases:
+        assert bp_encode_ordinal(f).to01() == bp_encode_ordinal_walk(f).to01()
+        # appending to a buffer that already holds bits
+        got, want = BitBuf("101"), BitBuf("101")
+        bp_encode_ordinal(f, got)
+        bp_encode_ordinal_walk(f, want)
+        assert got.to01() == want.to01()
+
+
 def test_fcns_worked_example():
     ch = {1: [2, 3, 5, 9], 2: [], 3: [4], 4: [], 5: [6, 7, 8],
           6: [], 7: [], 8: [], 9: []}
