@@ -24,7 +24,7 @@ def cartesian_tree(values) -> BinaryTree:
     """Min-rooted Cartesian tree; ties resolve to the leftmost minimum, which
     is fixed at construction time. Node with inorder rank j holds values[j-1]."""
     left, right, _, _ = _cartesian_links(values)
-    return BinaryTree(len(left) - 1, left.tolist(), right.tolist())
+    return BinaryTree(len(values), left.tolist(), right.tolist())
 
 
 def _cartesian_links(values):
