@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bits import MalformedStream
-from .cover import decompose_binary, decompose_ordinal
+from .cover import BinaryCover, decompose_binary, decompose_ordinal
 from .hypercodec import (
     cover_stats, hs_decode_binary, hs_decode_ordinal, hs_encode_binary,
     hs_encode_ordinal, read_hst, write_hst,
@@ -132,7 +132,7 @@ def _cover_dump(cover):
     """Per micro tree: its nodes, and its portals' null ranks or its parent
     edge type and external portal."""
     members, starts = cover.members.tolist(), cover.starts.tolist()
-    binary = isinstance(cover.top_tier, BinaryTree)
+    binary = isinstance(cover, BinaryCover)
     out = []
     for i, f in enumerate(cover.fields.tolist()):
         nodes = members[starts[i]:starts[i + 1]]

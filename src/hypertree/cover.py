@@ -33,11 +33,12 @@ pointer jumping. Micro trees are numbered by the preorder of their roots
 (size, local left children, local right children) row. An ordinal micro
 tree's row is its size and the local parent of each node.
 
-A binary layout is five names: ``n``, ``top_tier``, ``shape_bps`` (the
-distinct shapes' BP strings), ``shape_id`` (one per micro tree) and
-``fields`` (per micro tree, 1 + the null rank of its first and second
-portal in preorder, 0 for none). ``BinaryCover`` has them, and so does what
-``hypercodec.parse_binary_blob`` reads from a blob. ``ShapeTables`` holds
+A binary layout is five names: ``n``, ``top_tier`` (a (2, m + 1) int64
+array of each micro tree's left and right child in the top tier),
+``shape_bps`` (the distinct shapes' BP strings), ``shape_id`` (one per micro
+tree) and ``fields`` (per micro tree, 1 + the null rank of its first and
+second portal in preorder, 0 for none). ``BinaryCover`` has them, and so
+does what ``hypercodec.parse_binary_blob`` reads from a blob. ``ShapeTables`` holds
 the per-shape tables, built once per distinct shape; ``BinaryPlacement``
 computes from a layout where every micro tree and portal sits in the tree,
 which the decoder, the navigation index and the validator read.
@@ -125,9 +126,11 @@ class BinaryCover(_Cover):
     docstring). Micro trees partition the nodes; shape ids number the
     distinct shapes in the byte order of their rows. ``fields[i]`` is the
     first and second portal of micro i in preorder, each 1 + its null rank
-    in the shape (0 for none). The top tier (a ``BinaryTree`` over the m
-    micro trees) has micro i's left child hanging from the first portal and
-    its right child from the second.
+    in the shape (0 for none). The top tier is a (2, m + 1) int64 array of
+    child ids, row 0 the left children and row 1 the right ones, numbered as
+    ``BinaryTree.left`` and ``right``: micro i is id i + 1, column 0 is
+    unused and 0 means no child. Micro i's left child hangs from its first
+    portal and its right child from the second.
     """
 
     __slots__ = ()
@@ -222,7 +225,10 @@ class BinaryPlacement:
     ``root_pre + x - 1`` plus ``sub`` of each slot whose ``thr`` is at most
     x, and local inorder rank j likewise with ``rank < j``. A child's root
     follows the local nodes before its null and the subtree of an earlier
-    slot; these offsets are summed down the top tier by pointer jumping.
+    slot. These offsets apply to the child's whole top-tier subtree, an
+    interval of micro trees in preorder, so one prefix sum over a difference
+    array adds them up down the top tier (the Euler-tour technique; Tarjan
+    & Vishkin, SIAM J. Comput. 1985).
     """
 
     __slots__ = ("tables", "sid", "mu", "hang", "root_pre", "in_start", "up",
@@ -233,8 +239,7 @@ class BinaryPlacement:
         self.sid = sid = np.asarray(layout.shape_id, dtype=np.int64)
         self.mu = mu = tables.mu[sid]
         m = len(sid)
-        top = layout.top_tier
-        child = np.array([top.left[1:], top.right[1:]], dtype=np.int64) - 1
+        child = layout.top_tier[:, 1:] - 1
         self.has = has = child >= 0
         self.child = child
         self.rank = rank = np.where(has, np.asarray(layout.fields).T - 1, mu)
@@ -247,19 +252,21 @@ class BinaryPlacement:
         ends = np.concatenate(([0], np.cumsum(mu)))
         self.hang = hang = ends[last + 1] - ends[:-1]
         self.sub = sub = np.where(has, hang[child], 0)
-        # offsets of each child from its parent, summed down the top tier
+        # each child's offsets from its parent apply to the interval
+        # [c, last[c]]: added at c and taken off past last[c] (several
+        # subtrees can end at one micro tree, so unbuffered), then summed
         k, i = np.nonzero(has)
         c = child[k, i]
         up = np.zeros(m, dtype=np.int64)
         up[c] = i
-        acc = np.zeros((3, m), dtype=np.int64)
+        acc = np.zeros((3, m + 1), dtype=np.int64)
         acc[0, c] = thr[k, i] - 1 + k * sub[0, i]
         acc[1, c] = rank[k, i] + k * sub[0, i]
         acc[2, c] = 1
-        jump = up.copy()
-        while jump.any():
-            acc += acc[:, jump]
-            jump = jump[jump]
+        past = last[c] + 1
+        for row in acc:
+            np.subtract.at(row, past, row[c])
+        acc = np.cumsum(acc[:, :m], axis=1)
         self.root_pre = acc[0] + 1
         self.in_start = acc[1] + 1
         self.depth = acc[2]
@@ -445,9 +452,8 @@ def _finalize_binary(B: int, left, right, parent, comp, pnode, pside) -> BinaryC
     k[1:] = owner[1:] == owner[:-1]
     fields = np.zeros((m, 2), dtype=np.int64)
     fields[owner, k] = rank + 1
-    kids = np.zeros((2, m + 1), dtype=np.int64)
-    kids[k, owner + 1] = child + 1
-    top = BinaryTree(m, *kids.tolist())
+    top = np.zeros((2, m + 1), dtype=np.int64)
+    top[k, owner + 1] = child + 1
     return BinaryCover(top, B, n, members, starts, shape_id, shape_bps, fields)
 
 
@@ -775,11 +781,11 @@ def _validate_binary(cover: BinaryCover, t, out: list[str]):
         out.append(f"node {g + 1} covered {count[g + 1]} times")
     # the top tier is a tree over the micro trees in preorder: each child
     # after its parent, and every micro tree but the first a child once
-    top = cover.top_tier
-    if top.n != m or len(top.left) != m + 1 or len(top.right) != m + 1:
-        out.append(f"top tier has {top.n} nodes, not m={m}")
+    top = np.asarray(cover.top_tier)
+    if top.shape != (2, m + 1):
+        out.append(f"top tier has shape {top.shape}, not (2, m + 1) for m={m}")
         return
-    child = np.array([top.left[1:], top.right[1:]], dtype=np.int64) - 1
+    child = top[:, 1:] - 1
     has = child >= 0
     ids = np.arange(m)
     if ((child < -1) | (child >= m) | (has & (child <= ids))).any() or (

@@ -36,14 +36,14 @@ The writer finds the distinct symbols with one ``np.unique`` over packed
 (shape id, fields) keys, and writes every part as fixed-width fields of one
 numpy bit block (a gamma code is a field, and so is each BP bit), packed
 once. The reader decodes every codeword through a 2^Lmax table of (symbol,
-length) looked up at every bit position at once, then walks from codeword to
-codeword (Moffat & Turpin 1997), and gathers the shape ids and fields from
-the symbol table. It checks once per distinct symbol that a field names a
-null of its shape and that a second portal lies after the first, and once,
-vectorized, that the micro sizes add up to n and that the portal fields close
-the top tier exactly at the last micro tree. ``hs_decode_binary`` then
-gathers the global ids of ``cover.BinaryPlacement``, which the navigation
-index reads too.
+length) looked up at every bit position at once, then walks over every
+fourth codeword start (Moffat & Turpin 1997), and gathers the shape ids and
+fields from the symbol table. It checks once per distinct symbol that a
+field names a null of its shape and that a second portal lies after the
+first, and once, vectorized, that the micro sizes add up to n and that the
+portal fields close the top tier exactly at the last micro tree.
+``hs_decode_binary`` then gathers the global ids of
+``cover.BinaryPlacement``, which the navigation index reads too.
 """
 
 from __future__ import annotations
@@ -175,9 +175,10 @@ class ShapeCode:
         Each symbol owns the 2^(Lmax - length) entries of a 2^Lmax table
         that start with its codeword, so one lookup of the Lmax-bit window
         at a bit position gives the codeword starting there (Moffat &
-        Turpin 1997). The lookups are made at every position at once; the
-        walk from one codeword's start to the next is the one step per
-        micro tree.
+        Turpin 1997). The lookups are made at every position at once, and
+        so is the jump from each position to the start four codewords on;
+        the walk over every fourth codeword start is one step per four
+        micro trees.
         """
         L = self.max_len
         lens = np.array([self.code_len[s] for s in self.order], dtype=np.int64)
@@ -191,14 +192,20 @@ class ShapeCode:
         if m > rest:
             raise MalformedStream("more codewords than bits", bit_offset=cur.pos)
         len_at = np.append(length[win], 0)
+        # the next codeword's start after each position, and the second and
+        # fourth next; the walk visits every fourth start, and gathers fill
+        # in the three between
+        step = np.minimum(np.arange(rest + 1) + len_at, rest)
+        step2 = step[step]
+        quads = np.empty((m + 3) // 4, dtype=np.int64)
         # memoryviews give and take Python ints without a list of them
-        step = memoryview(np.minimum(np.arange(rest + 1) + len_at, rest))
-        starts = np.empty(m, dtype=np.int64)
-        out = memoryview(starts)
+        step4, out = memoryview(step2[step2]), memoryview(quads)
         p = 0
-        for i in range(m):
+        for i in range(len(quads)):
             out[i] = p
-            p = step[p]
+            p = step4[p]
+        starts = np.column_stack((quads, step[quads], step2[quads],
+                                  step[step2[quads]])).reshape(-1)[:m]
         got = len_at[starts]
         if not got.all():
             at = int(starts[np.argmin(got != 0)])

@@ -184,11 +184,13 @@ def bp_decode_binary(buf: BitBuf) -> BinaryTree:
     return BinaryTree(n, left.tolist(), right.tolist())
 
 
-def binary_from_child_flags(has_left: np.ndarray, has_right: np.ndarray) -> BinaryTree:
+def binary_from_child_flags(has_left: np.ndarray, has_right: np.ndarray) -> np.ndarray:
     """The binary tree whose node v, in preorder, has a left child where
     ``has_left[v - 1]`` is set and a right child where ``has_right[v - 1]``
-    is; rejects flags that close the tree before the last node or leave
-    child slots open after it.
+    is, as a (2, m + 1) int64 array of child ids: row 0 the left children,
+    row 1 the right ones, numbered as ``BinaryTree.left`` and ``right`` (ids
+    from 1, column 0 unused, 0 for no child). Rejects flags that close the
+    tree before the last node or leave child slots open after it.
 
     Vectorized like ``bp_decode_binary``: the excess after node v is the
     number of open child slots, 1 plus the sum of (children - 1) so far.
@@ -208,12 +210,10 @@ def binary_from_child_flags(has_left: np.ndarray, has_right: np.ndarray) -> Bina
     order = np.argsort(excess, kind="stable")
     after = np.empty(m + 1, dtype=np.int64)
     after[order[:-1]] = order[1:]
-    v = np.arange(1, m + 1)
-    left = np.zeros(m + 1, dtype=np.int64)
-    right = np.zeros(m + 1, dtype=np.int64)
-    left[1:] = np.where(has_left, v + 1, 0)
-    right[1:] = np.where(has_right, after[:m] + 1, 0)
-    return BinaryTree(m, left.tolist(), right.tolist())
+    child = np.zeros((2, m + 1), dtype=np.int64)
+    child[0, 1:] = np.where(has_left, np.arange(2, m + 2), 0)
+    child[1, 1:] = np.where(has_right, after[:m] + 1, 0)
+    return child
 
 
 def bp_encode_ordinal(forest: Forest | OrdinalTree, out: BitBuf | None = None) -> BitBuf:

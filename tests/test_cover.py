@@ -6,14 +6,16 @@ import pytest
 
 from conftest import induced_shapes, micro_shapes, random_bst
 from hypertree.cover import (
-    BinaryCover, CoverStats, EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_NEW_LEFT,
-    EDGE_NEW_RIGHT, ShapeTables, _binary_links, _finalize_binary, _follow,
-    decompose_binary, decompose_ordinal, default_block, validate_cover,
+    BinaryCover, BinaryPlacement, CoverStats, EDGE_CONT_LEFT, EDGE_CONT_RIGHT,
+    EDGE_NEW_LEFT, EDGE_NEW_RIGHT, ShapeTables, _binary_links, _finalize_binary,
+    _follow, decompose_binary, decompose_ordinal, default_block, validate_cover,
 )
+from hypertree.hypercodec import hs_encode_binary, parse_binary_blob
+from hypertree.rmq import cartesian_tree
 from hypertree.sources.counting import iter_shapes, shape_to_tree
 from hypertree.trees import (
     BinaryTree, OrdinalTree, annotate, bp_encode_binary, left_chain,
-    ordinal_path, ordinal_star, right_chain,
+    ordinal_path, ordinal_star, right_chain, single_node,
 )
 from hypertree import sources as S
 
@@ -84,7 +86,7 @@ def assert_same_cover(a: BinaryCover, b: BinaryCover, what):
     assert (a.n, a.B, a.shape_bps) == (b.n, b.B, b.shape_bps), what
     for name in ("members", "starts", "shape_id", "fields"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), (what, name)
-    assert a.top_tier == b.top_tier, what
+    assert np.array_equal(a.top_tier, b.top_tier), what
 
 
 def balanced_tree(n):
@@ -140,7 +142,8 @@ def test_binary_cover_random(rng):
         bb = B or default_block(n)
         assert res.m <= max(1, 8 * n // bb)
         # top tier is a preorder-consistent binary tree
-        assert BinaryTree.from_links(1, cov.top_tier.left, cov.top_tier.right) == cov.top_tier
+        left, right = cov.top_tier.tolist()
+        assert BinaryTree.from_links(1, left, right) == BinaryTree(res.m, left, right)
         assert micro_shapes(cov) == induced_shapes(t, cov)
 
 
@@ -149,7 +152,7 @@ def test_binary_cover_deterministic(rng):
     a = decompose_binary(t, 4)
     b = decompose_binary(t, 4)
     assert np.array_equal(a.members, b.members) and np.array_equal(a.starts, b.starts)
-    assert a.top_tier == b.top_tier
+    assert np.array_equal(a.top_tier, b.top_tier)
 
 
 def test_ordinal_star_shared_roots():
@@ -215,6 +218,82 @@ def test_shape_tables_match_annotate(rng):
         assert len(nulls) == mu + 1
         assert [tuple(int(a[s, r]) for a in (tab.null_node, tab.null_side, tab.null_thr))
                 for r in range(mu + 1)] == nulls
+
+
+def placement_by_jumping(layout) -> dict:
+    """The per-micro-tree sums of ``BinaryPlacement``, the reference for its
+    prefix sums: each top-tier subtree's last micro tree by one pass in
+    reverse preorder, and each child's offsets from its parent summed down
+    the top tier by pointer jumping, in lg(depth) rounds."""
+    tables = ShapeTables(layout.shape_bps)
+    sid = np.asarray(layout.shape_id)
+    mu = tables.mu[sid]
+    m = len(sid)
+    child = np.asarray(layout.top_tier)[:, 1:] - 1
+    has = child >= 0
+    rank = np.where(has, np.asarray(layout.fields).T - 1, mu)
+    thr = tables.null_thr[sid, rank]
+    last = list(range(m))
+    for i in range(m - 1, -1, -1):
+        for c in child[:, i].tolist():  # the right child, if any, wins
+            if c >= 0:
+                last[i] = last[c]
+    ends = np.concatenate(([0], np.cumsum(mu)))
+    hang = ends[np.asarray(last) + 1] - ends[:-1]
+    sub = np.where(has, hang[child], 0)
+    k, i = np.nonzero(has)
+    c = child[k, i]
+    up = np.zeros(m, dtype=np.int64)
+    up[c] = i
+    acc = np.zeros((3, m), dtype=np.int64)
+    acc[0, c] = thr[k, i] - 1 + k * sub[0, i]
+    acc[1, c] = rank[k, i] + k * sub[0, i]
+    acc[2, c] = 1
+    jump = up.copy()
+    while jump.any():
+        acc += acc[:, jump]
+        jump = jump[jump]
+    return {"hang": hang, "sub": sub, "up": up, "root_pre": acc[0] + 1,
+            "in_start": acc[1] + 1, "depth": acc[2]}
+
+
+def zigzag(n: int) -> BinaryTree:
+    """A path of n nodes whose edges go left and right in turn."""
+    left, right = [0] * (n + 1), [0] * (n + 1)
+    for v in range(1, n):
+        (left if v % 2 else right)[v] = v + 1
+    return BinaryTree(n, left, right)
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 8])
+def test_placement_matches_pointer_jumping(B):
+    # top tiers as deep as m (the Cartesian trees of sorted and reverse
+    # sorted arrays, a zigzag path), the Cartesian tree of a permutation
+    # sorted in 256 runs, a random BST, and m = 1; from the cover and from
+    # its parsed blob
+    n = 2000
+    rng = np.random.default_rng(16)
+    runs = rng.permutation(n)
+    for part in np.split(runs, np.sort(rng.choice(np.arange(1, n), 255, replace=False))):
+        part.sort()
+    paths = [cartesian_tree(list(range(n))), cartesian_tree(list(range(n, 0, -1))),
+             zigzag(n)]
+    trees = paths + [cartesian_tree(runs.tolist()), random_bst(random.Random(B), n),
+                     single_node(), random_bst(random.Random(B), 8)]
+    for t in trees:
+        cov = decompose_binary(t, B)
+        m = len(cov.shape_id)
+        if t in paths:
+            assert m > 1 and cov.top_tier[:, 1:].astype(bool).sum(axis=0).max() == 1
+        for layout in (cov, parse_binary_blob(hs_encode_binary(t, cover=cov))):
+            p = BinaryPlacement(layout)
+            want = placement_by_jumping(layout)
+            if t in paths:
+                assert want["depth"].max() == m - 1
+            for name, value in want.items():
+                got = getattr(p, name)
+                assert got.dtype == np.int64 and np.array_equal(got, value), (t, B, name)
+    assert len(decompose_binary(trees[-1], 8).shape_id) == 1
 
 
 def _with_member(cov, at, node):
@@ -292,12 +371,11 @@ def test_validate_top_tier_corruption(rng):
     lrm = S.sample(S.LrmSource(), 300, 9)
     cases = []
     cov = decompose_binary(t, 3)
-    top = cov.top_tier
-    top.left[1], top.right[1] = top.right[1], top.left[1]
+    cov.top_tier[:, 1] = cov.top_tier[::-1, 1].copy()
     cases.append((cov, t))
     for at, value in ((2, 1), (1, -1000)):
         cov = decompose_binary(t, 3)
-        cov.top_tier.left[at] = value
+        cov.top_tier[0, at] = value
         cases.append((cov, t))
     cov = decompose_ordinal(o, 3)
     cov.top_tier.children[1].append(2)

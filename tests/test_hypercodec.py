@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import flipped_bst_blob, induced_shapes, random_bst
-from hypertree.bits import BitBuf, MalformedStream
+from hypertree.bits import BitBuf, BitCursor, MalformedStream, gamma_decode
 from hypertree.cover import decompose_binary, decompose_ordinal
 from hypertree import hypercodec
 from hypertree.hypercodec import (
@@ -262,7 +262,8 @@ def _micro_bps(layout) -> list[str]:
 
 def _assert_parsed_is_cover(parsed, cov):
     assert parsed.n == cov.n
-    assert parsed.top_tier == cov.top_tier
+    assert parsed.top_tier.dtype == np.int64
+    assert np.array_equal(parsed.top_tier, cov.top_tier)
     assert _micro_bps(parsed) == _micro_bps(cov)
     assert np.array_equal(parsed.fields, cov.fields)
 
@@ -352,6 +353,139 @@ def test_parse_codewords_longer_than_a_window(monkeypatch):
     assert hs_decode_binary(HsBlob.from_bytes(blob.to_bytes())) == t
 
 
+def _read_codewords_loop(code, cur, m):
+    """``ShapeCode.read_codewords`` with one step per codeword: the
+    reference for its walk over every fourth codeword start."""
+    L = code.max_len
+    lens = np.array([code.code_len[s] for s in code.order], dtype=np.int64)
+    span = 1 << (L - lens)
+    sym = np.repeat(np.arange(len(lens)), span)
+    length = np.zeros(1 << L, dtype=np.int64)
+    length[:int(span.sum())] = np.repeat(lens, span)
+    win = cur.windows(L)
+    rest = len(win)
+    if m > rest:
+        raise MalformedStream("more codewords than bits", bit_offset=cur.pos)
+    len_at = np.append(length[win], 0)
+    starts, p = [], 0
+    for _ in range(m):
+        starts.append(p)
+        p = min(p + int(len_at[p]), rest)
+    starts = np.array(starts, dtype=np.int64)
+    got = len_at[starts]
+    if not got.all():
+        at = int(starts[np.argmin(got != 0)])
+        msg = "bit stream exhausted" if at == rest else "unknown Huffman codeword"
+        raise MalformedStream(msg, bit_offset=cur.pos + at)
+    end = int(starts[-1] + got[-1])
+    if end != rest:
+        msg = "bit stream exhausted" if end > rest else "trailing data after the last codeword"
+        raise MalformedStream(msg, bit_offset=cur.pos + min(end, rest))
+    cur.skip(rest)
+    return sym[win[starts]]
+
+
+def _codeword_outcome(read, code, bits, m, at=5):
+    """What ``read`` makes of ``m`` codewords after the first ``at`` bits:
+    the symbol indices and where the cursor stops, or the error and its bit
+    offset."""
+    cur = BitCursor(BitBuf.from_array(np.asarray(bits, dtype=np.uint8)), at)
+    try:
+        return read(code, cur, m).tolist(), cur.pos
+    except MalformedStream as exc:
+        return str(exc), exc.bit_offset
+
+
+@pytest.mark.parametrize("code", [
+    hypercodec.ShapeCode(dict(zip("abcdefg", (40, 20, 10, 5, 3, 1, 1)))),
+    hypercodec.ShapeCode({"()": 3}),
+    hypercodec.ShapeCode.from_lengths([(i, i + 1) for i in range(15)] + [(15, 16), (16, 16)]),
+], ids=["skewed", "one-symbol", "16-bit"])
+def test_read_codewords_matches_loop(code):
+    # m = 1..9 codewords after a 5-bit prefix; the stream as written, then
+    # cut or with one bit flipped inside its last 4 codewords, with a bit
+    # appended, and with one codeword too many asked for
+    rng = np.random.default_rng(len(code.order))
+    words = [code.codewords[s] for s in code.order]
+    read = hypercodec.ShapeCode.read_codewords
+    for m in range(1, 10):
+        for _ in range(3):
+            syms = rng.integers(len(words), size=m)
+            bits = list(rng.integers(2, size=5))
+            ends = []
+            for s in syms.tolist():
+                word, width = words[s]
+                bits += [(word >> (width - 1 - j)) & 1 for j in range(width)]
+                ends.append(len(bits))
+            assert _codeword_outcome(read, code, bits, m) == (syms.tolist(), len(bits))
+            tail = ends[-5] if m > 4 else 5
+            for j in range(tail, len(bits)):
+                flipped = bits.copy()
+                flipped[j] ^= 1
+                for variant in (bits[:j], flipped):
+                    assert (_codeword_outcome(read, code, variant, m)
+                            == _codeword_outcome(_read_codewords_loop, code, variant, m))
+                assert isinstance(_codeword_outcome(read, code, bits[:j], m)[0], str)
+            for variant, k in ((bits + [0], m), (bits, m + 1)):
+                got = _codeword_outcome(read, code, variant, k)
+                assert isinstance(got[0], str)
+                assert got == _codeword_outcome(_read_codewords_loop, code, variant, k)
+
+
+def _with_codeword_tail(blob, change):
+    """``blob`` with ``change`` applied to the bit array of its codeword
+    part, and its stream length and CRC set again as the writer sets them."""
+    bits = blob.bits.to_array()
+    cur = BitCursor(blob.bits)
+    gamma_decode(cur)
+    body = bits[cur.pos:len(bits) - hypercodec.CRC_BITS]
+    cw = len(body) - blob.parts["codewords"]
+    body = np.concatenate((body[:cw], change(body[cw:].copy())))
+    rest = np.array([len(body) + hypercodec.CRC_BITS + 1])
+    out = np.concatenate((hypercodec._field_bits(rest, hypercodec._gamma_widths(rest)), body))
+    crc = hypercodec._payload_crc(np.packbits(out).tobytes(), len(out))
+    out = np.concatenate((out, hypercodec._field_bits([crc], [hypercodec.CRC_BITS])))
+    return HsBlob.from_bytes(HsBlob("binary", BitBuf.from_array(out)).to_bytes())
+
+
+def _parse_outcome(blob):
+    try:
+        layout = parse_binary_blob(blob)
+    except MalformedStream as exc:
+        return str(exc), exc.part, exc.bit_offset
+    return layout.shape_id.tolist(), layout.fields.tolist()
+
+
+def test_blob_codeword_tail_errors_match_loop(monkeypatch):
+    # blobs of m = 0, 1, 2, 3 (mod 4) micro trees, cut or with one bit
+    # flipped inside the last 4 codewords, CRC resealed: every cut raises,
+    # and each outcome is the one-step walk's, part and bit offset included
+    blobs = {}
+    for n in range(300, 340):
+        t = S.sample(S.BstSource(), n, n)
+        cov = decompose_binary(t, 3)
+        blobs.setdefault(len(cov.shape_id) % 4, (hs_encode_binary(t, cover=cov), cov))
+    assert len(blobs) == 4
+    variants = []
+    for blob, cov in blobs.values():
+        symbols, inverse, counts = hypercodec._symbols(cov.shape_bps, cov.shape_id, cov.fields)
+        code = hypercodec.ShapeCode(dict(zip(symbols, counts)))
+        tail = sum(code.code_len[symbols[j]] for j in inverse[-4:].tolist())
+        for j in range(1, tail + 1):
+            variants.append((True, _with_codeword_tail(blob, lambda cw: cw[:-j])))
+
+            def flip(cw, j=j):
+                cw[-j] ^= 1
+                return cw
+            variants.append((False, _with_codeword_tail(blob, flip)))
+    assert _parse_outcome(_with_codeword_tail(blob, lambda cw: cw)) == _parse_outcome(blob)
+    got = [_parse_outcome(b) for _, b in variants]
+    monkeypatch.setattr(hypercodec.ShapeCode, "read_codewords", _read_codewords_loop)
+    assert got == [_parse_outcome(b) for _, b in variants]
+    for (cut, _), outcome in zip(variants, got):
+        assert not cut or outcome[1] == "codewords"
+
+
 def test_codebook_rejects_out_of_range_lengths():
     from hypertree.hypercodec import ShapeCode
     for lengths in ([("()", 0)], [("()", 2)], [("()", 1), ("(())", 2)]):
@@ -371,8 +505,7 @@ def test_two_portals_at_one_null_rejected():
     from hypertree.navigate import build_nav
     t = S.sample(S.BstSource(), 3000, 5)
     cov = decompose_binary(t)
-    top = cov.top_tier
-    i = next(i for i in range(top.n) if top.left[i + 1] and top.right[i + 1])
+    i = int(np.flatnonzero(cov.top_tier[:, 1:].all(axis=0))[0])
     same = cov.fields.copy()
     same[i, 1] = same[i, 0]
     t = S.sample(S.BstSource(), 300, 0)
