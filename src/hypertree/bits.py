@@ -19,8 +19,8 @@ class MalformedStream(ValueError):
     """Raised when a decoder hits a truncated or invalid bit stream.
 
     A blob reader sets ``part``, the blob part it was reading (header, crc,
-    top tier, codebook, codewords), and ``bit_offset``, the payload bit at
-    which it stood when it found the fault.
+    codebook, codewords), and ``bit_offset``, the payload bit at which it
+    stood when it found the fault.
     """
 
     def __init__(self, msg: str, part: str | None = None,

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bits import MalformedStream
-from .cover import BinaryCover, decompose_binary, decompose_ordinal
+from .cover import decompose_binary
 from .hypercodec import (
     cover_stats, hs_decode_binary, hs_decode_ordinal, hs_encode_binary,
     hs_encode_ordinal, read_hst, write_hst,
@@ -21,7 +21,7 @@ from .navigate import build_nav
 from . import sources as srcs
 from .trees import (
     BinaryTree, bp_decode_binary, bp_decode_ordinal, bp_encode_binary,
-    bp_encode_ordinal, parse_bp,
+    bp_encode_ordinal, fcns, parse_bp,
 )
 
 CSV_FIELDS = [
@@ -54,6 +54,16 @@ def _read_array(path: str) -> list[int]:
     if not vals:
         raise MalformedStream(f"{path}: empty array")
     return vals
+
+
+def _encode(t, block):
+    """The binary cover the blob of ``t`` is written from (that of
+    ``fcns(t)`` for an ordinal tree), and the blob."""
+    if isinstance(t, BinaryTree):
+        cover = decompose_binary(t, block)
+        return cover, hs_encode_binary(t, cover=cover)
+    cover = decompose_binary(fcns(t), block)
+    return cover, hs_encode_ordinal(t, cover=cover)
 
 
 def cmd_encode(args) -> int:
@@ -108,13 +118,10 @@ def cmd_analyze(args) -> int:
         if isinstance(t, BinaryTree):
             row["typeEntropy"] = round(srcs.type_entropy(t, args.order), 6)
             row["subtreeSizeEntropy"] = round(srcs.subtree_size_entropy(t), 6)
-            cover = decompose_binary(t, args.block)
-            blob = hs_encode_binary(t, cover=cover)
         else:
             row["degreeEntropy"] = round(srcs.degree_entropy(t), 6)
             row["shapeEntropy"] = round(srcs.shape_entropy(t, args.order), 6)
-            cover = decompose_ordinal(t, args.block)
-            blob = hs_encode_ordinal(t, cover=cover)
+        cover, blob = _encode(t, args.block)
         if source is not None:
             rep = source.log_prob(t)
             row["logProbBits"] = round(rep.log_prob_bits, 6)
@@ -129,22 +136,16 @@ def cmd_analyze(args) -> int:
 
 
 def _cover_dump(cover):
-    """Per micro tree: its nodes, and its portals' null ranks or its parent
-    edge type and external portal."""
+    """Per micro tree of a binary cover: its nodes and its portals' null
+    ranks."""
     members, starts = cover.members.tolist(), cover.starts.tolist()
-    binary = isinstance(cover, BinaryCover)
     out = []
     for i, f in enumerate(cover.fields.tolist()):
         nodes = members[starts[i]:starts[i + 1]]
         d = {"i": i, "root": nodes[0], "nodes": nodes}
-        if binary:
-            for key, field in zip(("leftPortal", "rightPortal"), f):
-                if field:
-                    d[key] = field - 1
-        else:
-            d["edgeType"] = f[2]
-            if f[0]:
-                d["extPortal"] = f[:2]
+        for key, field in zip(("leftPortal", "rightPortal"), f):
+            if field:
+                d[key] = field - 1
         out.append(d)
     return out
 
@@ -189,12 +190,7 @@ def cmd_bench(args) -> int:
         for rep in range(args.reps):
             seed = srcs.derive_seed(args.seed, args.source, n, rep)
             t = srcs.sample(source, n, seed)
-            if isinstance(t, BinaryTree):
-                cover = decompose_binary(t, args.block)
-                blob = hs_encode_binary(t, cover=cover)
-            else:
-                cover = decompose_ordinal(t, args.block)
-                blob = hs_encode_ordinal(t, cover=cover)
+            cover, blob = _encode(t, args.block)
             p = blob.parts
             lp = source.log_prob(t)
             rows.append({

@@ -634,8 +634,7 @@ def _finalize_ordinal(t: OrdinalTree, B: int, parent: np.ndarray, sealed: list[_
     rows[micro, x] = np.where(x > 1, local(micro, parent[members]), 0)
     keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # number the shapes in the order the micro trees first name them:
-    # ``_code_lengths`` breaks weight ties in symbol order, so blobs depend on it
+    # number the shapes in the order the micro trees first name them
     by_first = np.argsort(first)
     shape_id = np.argsort(by_first)[inverse.reshape(-1)]
     shape_bps = []

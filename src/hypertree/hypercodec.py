@@ -1,29 +1,31 @@
 """The compressed tree code, format HST2: every micro tree is one symbol of
-a canonical prefix code, its shape together with its per-micro fields, and
-the binary top tier is derived from the symbols, not written.
+a canonical prefix code, its shape together with its portal fields, and the
+binary top tier is derived from the symbols, not written.
 
 Blob layout (bit stream, MSB-first):
 
-  binary:  gamma(r+1) gamma(n+1) gamma(m+1) | codebook |
-           one codeword per micro tree, in top-tier preorder | CRC-32
-  ordinal: the same, with the BP of the dummy-rooted top tier after the
-           header.
+  gamma(r+1) gamma(n+1) gamma(m+1) | codebook |
+  one codeword per micro tree, in top-tier preorder | CRC-32
+
+A blob's kind byte is 0x00 for a binary tree and 0x02 for an ordinal one,
+whose bit stream is that of the binary tree ``fcns(t)`` (first child ->
+left, next sibling -> right; Knuth's natural correspondence), which keeps
+the preorder ids. The reader refuses any other kind byte, such as 0x01, an
+earlier ordinal layout with its own top tier and edge types.
 
 r counts the bits after its own field, the CRC's included, so the reader
 finds the stream's end and checks the CRC, ``zlib.crc32`` of every bit before
 it (packed MSB-first and zero-padded to a byte), before it parses anything
 else. Only the zero byte padding may follow the CRC.
 
-A symbol is a shape's BP string and its fields: the two portal fields of a
-binary micro tree (1 + the null rank of its first and second portal, 0 for
-none), or the external portal (pos, rank) and the 3-bit parent edge type of
-an ordinal one. The codebook is gamma(k+1) and the k occurring symbols in
-strictly increasing canonical order (codeword length, shape BP, fields):
-per symbol, gamma(1 + its length less the previous one's), gamma(size+1),
-the BP bits, each portal field in ceil(lg(size+2)) bits, and the edge type
-in 3 bits. Canonical codewords follow from the lengths, which are at most
-L = max(16, ceil(lg k)): Huffman's where it is no deeper, else package-merge
-(Larmore & Hirschberg 1990).
+A symbol is a shape's BP string and its two portal fields (1 + the null
+rank of its first and second portal, 0 for none). The codebook is
+gamma(k+1) and the k occurring symbols in strictly increasing canonical
+order (codeword length, shape BP, fields): per symbol, gamma(1 + its length
+less the previous one's), gamma(size+1), the BP bits and each portal field
+in ceil(lg(size+2)) bits. Canonical codewords follow from the lengths,
+which are at most L = max(16, ceil(lg k)): Huffman's where it is no deeper,
+else package-merge (Larmore & Hirschberg 1990).
 
 The binary top tier follows from the symbols: micro trees are numbered in
 top-tier preorder, the first field is set exactly where the top tier has a
@@ -43,7 +45,9 @@ field names a null of its shape and that a second portal lies after the
 first, and once, vectorized, that the micro sizes add up to n and that the
 portal fields close the top tier exactly at the last micro tree.
 ``hs_decode_binary`` then gathers the global ids of
-``cover.BinaryPlacement``, which the navigation index reads too.
+``cover.BinaryPlacement``, which the navigation index reads too;
+``hs_decode_ordinal`` inverts ``fcns`` on the result, and refuses a binary
+tree whose root has a right child, which would code a forest.
 """
 
 from __future__ import annotations
@@ -54,18 +58,12 @@ from collections import namedtuple
 import numpy as np
 
 from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode
-from .cover import (
-    EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_EXTERNAL, EDGE_NEW_LEFT, EDGE_NEW_RIGHT,
-    BinaryCover, BinaryPlacement, OrdinalCover, decompose_binary, decompose_ordinal,
-)
-from .trees import (
-    BinaryTree, OrdinalTree, binary_from_child_flags, bp_decode_ordinal,
-    bp_encode_ordinal,
-)
+from .cover import BinaryCover, BinaryPlacement, OrdinalCover, decompose_binary
+from .trees import BinaryTree, OrdinalTree, binary_from_child_flags, fcns, fcns_inverse
 
 MAGIC = b"HST2"
 KIND_BINARY = 0x00
-KIND_ORDINAL = 0x01
+KIND_ORDINAL = 0x02
 CRC_BITS = 32
 
 
@@ -337,17 +335,16 @@ def _gamma_widths(values) -> np.ndarray:
 def _codebook_bits(code: ShapeCode) -> np.ndarray:
     """The codebook as one bit block: gamma(k+1), then per symbol in
     canonical order gamma(1 + its length less the previous one's),
-    gamma(size+1), the BP bits and the fields (portal fields in
-    ``_field_width`` bits, an edge type in 3), each BP bit a field of width
-    1."""
+    gamma(size+1), the BP bits and the two portal fields in
+    ``_field_width`` bits, each BP bit a field of width 1."""
     symbols = code.order
-    k, nf = len(symbols), len(symbols[0]) - 1
+    k = len(symbols)
     mu = np.array([len(s[0]) // 2 for s in symbols], dtype=np.int64)
     lens = np.array([code.code_len[s] for s in symbols], dtype=np.int64)
     gammas = np.array([np.diff(lens, prepend=0) + 1, mu + 1]).T
     fw = np.frexp(mu + 1)[1]
-    # per symbol: two gamma fields, 2 mu BP bits, then nf fields
-    per = 2 + 2 * mu + nf
+    # per symbol: two gamma fields, 2 mu BP bits, then two portal fields
+    per = 4 + 2 * mu
     first = np.cumsum(per) - per + 1
     values = np.zeros(1 + int(per.sum()), dtype=np.int64)
     widths = np.ones_like(values)
@@ -357,47 +354,43 @@ def _codebook_bits(code: ShapeCode) -> np.ndarray:
     values[at], widths[at] = gammas, _gamma_widths(gammas)
     bp_at = np.repeat(first + 2 - np.cumsum(2 * mu) + 2 * mu, 2 * mu) + np.arange(2 * mu.sum())
     values[bp_at] = BitBuf("".join(s[0] for s in symbols)).to_array()
-    at = (first + 2 + 2 * mu)[:, None] + np.arange(nf)
-    values[at] = [s[1:] for s in symbols]
-    widths[at] = np.column_stack((fw, fw, np.full(k, 3)))[:, :nf]
+    at = (first + 2 + 2 * mu)[:, None] + [0, 1]
+    values[at], widths[at] = [s[1:] for s in symbols], fw[:, None]
     return _field_bits(values, widths)
 
 
 def _write_blob(kind: str, n: int, shape_bps: list[str], shape_id: np.ndarray,
-                fields, top_bits=()) -> HsBlob:
-    """Serialize either kind from bit blocks, packed once: header,
-    [ordinal: top-tier BP,] codebook, one codeword per micro tree (one per
-    distinct symbol, gathered) and the CRC. Micro tree i has shape
-    ``shape_bps[shape_id[i]]`` and fields ``fields[i]``: the (m, 2) portal
-    fields of a binary cover, or the (m, 3) external portal and parent edge
-    type of an ordinal one."""
+                fields: np.ndarray) -> HsBlob:
+    """Serialize a binary layout from bit blocks, packed once: header,
+    codebook, one codeword per micro tree (one per distinct symbol,
+    gathered) and the CRC. Micro tree i has shape
+    ``shape_bps[shape_id[i]]`` and the (m, 2) portal fields
+    ``fields[i]``."""
     m = len(shape_id)
     symbols, inverse, counts = _symbols(shape_bps, shape_id, fields)
     code = ShapeCode(dict(zip(symbols, counts)))
     codebook = _codebook_bits(code)
     words = np.array([code.codewords[s] for s in symbols], dtype=np.int64)
     codewords = _field_bits(*words[inverse].T)
-    top_bits = np.asarray(top_bits, dtype=np.uint8)
     # the header starts with the number of bits after its first field
     sizes = np.array([n + 1, m + 1])
-    rest = (_gamma_widths(sizes).sum() + len(top_bits) + len(codebook) + len(codewords)
-            + CRC_BITS)
+    rest = _gamma_widths(sizes).sum() + len(codebook) + len(codewords) + CRC_BITS
     head = np.append(rest + 1, sizes)
     header = _field_bits(head, _gamma_widths(head))
-    body = np.concatenate((header, top_bits, codebook, codewords))
+    body = np.concatenate((header, codebook, codewords))
     crc = _payload_crc(np.packbits(body).tobytes(), len(body))
     bits = np.concatenate((body, _field_bits([crc], [CRC_BITS])))
-    type_bits = 3 * len(symbols) if kind == "ordinal" else 0
-    parts = {"header": len(header), "topTierBP": len(top_bits),
-             "codebook": len(codebook) - type_bits, "codewords": len(codewords),
-             "portals": 0, "edgeTypes": type_bits, "crc": CRC_BITS,
+    # the top tier is derived and the portal fields are in the codebook
+    parts = {"header": len(header), "topTierBP": 0,
+             "codebook": len(codebook), "codewords": len(codewords),
+             "portals": 0, "edgeTypes": 0, "crc": CRC_BITS,
              "huffman": code.huffman_bits, "total": len(bits)}
     return HsBlob(kind, BitBuf.from_array(bits), parts)
 
 
-def _read_codebook(cur: BitCursor, kind: str) -> ShapeCode:
+def _read_codebook(cur: BitCursor) -> ShapeCode:
     """Read the codebook's symbols and lengths; check that each shape is
-    one balanced BP string and, once per symbol, its fields."""
+    one balanced BP string and, once per symbol, its portal fields."""
     k = gamma_decode(cur) - 1
     if k < 1:
         raise MalformedStream("empty codebook")
@@ -409,10 +402,7 @@ def _read_codebook(cur: BitCursor, kind: str) -> ShapeCode:
         if not bp:
             raise MalformedStream("empty micro tree")
         width = _field_width(bp)
-        sym = (bp, cur.read_bits(width), cur.read_bits(width))
-        if kind == "ordinal":
-            sym += (cur.read_bits(3),)
-        listed.append((sym, length))
+        listed.append(((bp, cur.read_bits(width), cur.read_bits(width)), length))
     code = ShapeCode.from_lengths(listed)
     # each shape is balanced: the excess of all of them in a row never drops
     # below 0 and is 0 where each ends
@@ -423,23 +413,23 @@ def _read_codebook(cur: BitCursor, kind: str) -> ShapeCode:
     if excess.min() < 0 or excess[ends].any():
         raise MalformedStream("codebook shape not balanced")
     fields = np.array([s[1:] for s in code.order], dtype=np.int64)
-    if kind == "binary":
-        mu = np.array([len(s) // 2 for s in bps], dtype=np.int64)
-        if (fields > mu[:, None] + 1).any():
-            raise MalformedStream("portal field past the last null")
-        first, second = fields.T
-        if ((second != 0) & (first >= second)).any():
-            raise MalformedStream("portal fields out of order")
-    elif (fields[:, 2] > EDGE_EXTERNAL).any():
-        raise MalformedStream("bad edge type")
+    mu = np.array([len(s) // 2 for s in bps], dtype=np.int64)
+    if (fields > mu[:, None] + 1).any():
+        raise MalformedStream("portal field past the last null")
+    first, second = fields.T
+    if ((second != 0) & (first >= second)).any():
+        raise MalformedStream("portal fields out of order")
     return code
 
 
-def _read_blob(blob: HsBlob, kind: str):
+BinaryLayout = namedtuple("BinaryLayout", "n top_tier shape_bps shape_id fields")
+
+
+def _read_blob(blob: HsBlob, kind: str) -> tuple[BinaryLayout, int]:
     """Check the CRC, then read every part of a blob of ``kind``. Returns
-    (n, top tier, shape BP strings, shape id per micro, fields per micro;
-    see ``_write_blob``). A ``MalformedStream`` from here names the part
-    and the payload bit."""
+    the ``BinaryLayout`` it codes and the payload bit at which its
+    codewords start. A ``MalformedStream`` from here names the part and the
+    payload bit."""
     if blob.kind != kind:
         raise MalformedStream(f"expected a {kind} blob, got {blob.kind}")
     cur = BitCursor(blob.bits)
@@ -460,15 +450,10 @@ def _read_blob(blob: HsBlob, kind: str):
         m = gamma_decode(cur) - 1
         if n < 1 or m < 1:
             raise MalformedStream("bad header")
-        top = None
-        if kind == "ordinal":
-            part = "top tier"
-            # the ordinal top tier has a dummy root above the m micro trees
-            top_bits = BitBuf.from_int(cur.read_bits(2 * m + 2), 2 * m + 2)
-            top = bp_decode_ordinal(top_bits)
         part = "codebook"
-        code = _read_codebook(cur, kind)
+        code = _read_codebook(cur)
         part = "codewords"
+        words_at = cur.pos
         sym = code.read_codewords(cur, m)
         # the distinct shapes, in the order the symbols first name them
         index: dict[str, int] = {}
@@ -477,28 +462,23 @@ def _read_blob(blob: HsBlob, kind: str):
         shape_bps = list(index)
         shape_id = sym_shape[sym]
         fields = np.array([s[1:] for s in code.order], dtype=np.int64)[sym]
-        if kind == "binary":
-            mu = np.array([len(s) // 2 for s in shape_bps], dtype=np.int64)[shape_id]
-            # binary micro trees partition the nodes (ordinal ones share roots)
-            if mu.sum() != n:
-                raise MalformedStream("micro tree sizes do not add up to the header size")
-            has = fields != 0
-            if (has[:, 1] & ~has[:, 0]).any():
-                raise MalformedStream("second portal without a first")
-            top = binary_from_child_flags(has[:, 0], has[:, 1])
+        mu = np.array([len(s) // 2 for s in shape_bps], dtype=np.int64)[shape_id]
+        if mu.sum() != n:
+            raise MalformedStream("micro tree sizes do not add up to the header size")
+        has = fields != 0
+        if (has[:, 1] & ~has[:, 0]).any():
+            raise MalformedStream("second portal without a first")
+        top = binary_from_child_flags(has[:, 0], has[:, 1])
     except MalformedStream as exc:
         exc.part = part
         if exc.bit_offset is None:
             exc.bit_offset = cur.pos
         raise
-    return n, top, shape_bps, shape_id, fields
+    return BinaryLayout(n, top, shape_bps, shape_id, fields), words_at
 
 
 # ---------------------------------------------------------------------------
-# binary encode / decode
-
-BinaryLayout = namedtuple("BinaryLayout", "n top_tier shape_bps shape_id fields")
-
+# encode / decode
 
 def hs_encode_binary(t: BinaryTree, B: int | None = None,
                      cover: BinaryCover | None = None) -> HsBlob:
@@ -512,7 +492,7 @@ def hs_encode_binary(t: BinaryTree, B: int | None = None,
 def parse_binary_blob(blob: HsBlob) -> BinaryLayout:
     """Parse and check the parts of a binary blob without materializing
     the tree: the layout that ``hs_encode_binary`` wrote from the cover."""
-    return BinaryLayout(*_read_blob(blob, "binary"))
+    return _read_blob(blob, "binary")[0]
 
 
 def hs_decode_binary(blob: HsBlob) -> BinaryTree:
@@ -522,110 +502,27 @@ def hs_decode_binary(blob: HsBlob) -> BinaryTree:
     return BinaryTree(layout.n, *BinaryPlacement(layout).children().tolist())
 
 
-# ---------------------------------------------------------------------------
-# ordinal encode / decode
-
 def hs_encode_ordinal(t: OrdinalTree, B: int | None = None,
-                      cover: OrdinalCover | None = None) -> HsBlob:
+                      cover: BinaryCover | None = None) -> HsBlob:
+    """The binary blob of ``fcns(t)`` under the ordinal kind; ``cover``, if
+    given, is the binary cover of ``fcns(t)``."""
     if t.n < 1:
         raise ValueError("cannot encode the empty tree")
     if cover is None:
-        cover = decompose_ordinal(t, B)
-    return _write_blob("ordinal", t.n, cover.shape_bps, cover.shape_id, cover.fields,
-                       bp_encode_ordinal(cover.top_tier).to_array())
+        cover = decompose_binary(fcns(t), B)
+    return _write_blob("ordinal", cover.n, cover.shape_bps, cover.shape_id, cover.fields)
 
 
 def hs_decode_ordinal(blob: HsBlob) -> OrdinalTree:
-    n, top, shape_bps, shape_id, fields = _read_blob(blob, "ordinal")
-    m = len(shape_id)
-    portals = fields[:, :2].tolist()
-    types = fields[:, 2].tolist()
-
-    # the codebook's shapes decode as one forest; each string must be one tree
-    forest = bp_decode_ordinal(BitBuf("".join(shape_bps)), forest=True)
-    if [sh.n for sh in forest] != [len(s) // 2 for s in shape_bps]:
-        raise MalformedStream("micro tree shape is not a single tree")
-    local = [forest[k] for k in shape_id.tolist()]
-
-    # expand micro trees bottom-up (reverse top-tier preorder); nodes are
-    # nested python lists (the children lists), merged in place
-    expanded: list[list | None] = [None] * m
-    for i in range(m - 1, -1, -1):
-        sh = local[i]
-        objs: list[list] = [None] * (sh.n + 1)  # type: ignore[list-item]
-        for v in range(sh.n, 0, -1):
-            objs[v] = [objs[c] for c in sh.children[v]]
-        kids_micro = [c - 2 for c in top.children[i + 2]]
-        left_roots, right_roots, ext_root = _merge_groups(
-            kids_micro, types, expanded)
-        if ext_root is not None:
-            pos, rank = portals[i]
-            if not (1 <= pos <= sh.n) or not (1 <= rank <= len(objs[pos]) + 1):
-                raise MalformedStream("bad external portal")
-            objs[pos].insert(rank - 1, ext_root)
-        elif portals[i][0] != 0:
-            raise MalformedStream("portal without external children")
-        root_obj = objs[1]
-        if left_roots or right_roots:
-            merged = left_roots + root_obj + right_roots
-            root_obj[:] = merged
-        expanded[i] = root_obj
-
-    root_micros = [c - 2 for c in top.children[1]]
-    if not root_micros:
-        raise MalformedStream("empty top tier")
-    if types[root_micros[0]] != EDGE_NEW_LEFT or any(
-            types[j] != EDGE_CONT_LEFT for j in root_micros[1:]):
-        raise MalformedStream("bad root edge types")
-    root = expanded[root_micros[0]]
-    for j in root_micros[1:]:
-        root.extend(expanded[j])
-
-    # number the object tree in preorder
-    children: list[list[int]] = [[]]
-    stack = [root]
-    order: list[list] = []
-    ids: dict[int, int] = {}
-    cnt = 0
-    while stack:
-        obj = stack.pop()
-        cnt += 1
-        ids[id(obj)] = cnt
-        children.append([])
-        order.append(obj)
-        stack.extend(reversed(obj))
-    if cnt != n:
-        raise MalformedStream("decoded tree size mismatch")
-    for obj in order:
-        children[ids[id(obj)]] = [ids[id(c)] for c in obj]
-    return OrdinalTree(n, children)
-
-
-def _merge_groups(kids_micro, types, expanded):
-    left_roots: list[list] = []
-    right_roots: list[list] = []
-    ext_root: list | None = None
-    for j in kids_micro:
-        ty = types[j]
-        ex = expanded[j]
-        if ty == EDGE_NEW_LEFT:
-            left_roots.append(ex)
-        elif ty == EDGE_CONT_LEFT:
-            if not left_roots:
-                raise MalformedStream("continued child without a head")
-            left_roots[-1].extend(ex)
-        elif ty == EDGE_NEW_RIGHT:
-            right_roots.append(ex)
-        elif ty == EDGE_CONT_RIGHT:
-            if not right_roots:
-                raise MalformedStream("continued child without a head")
-            right_roots[-1].extend(ex)
-        else:  # external
-            if ext_root is None:
-                ext_root = ex
-            else:
-                ext_root.extend(ex)
-    return left_roots, right_roots, ext_root
+    """Decode the binary tree and invert ``fcns``. A root with a right
+    child, a sibling, would make the blob a forest: the root lies in the
+    first micro tree, so the fault is in the first codeword."""
+    layout, words_at = _read_blob(blob, "ordinal")
+    kids = BinaryPlacement(layout).children()
+    if kids[1, 1]:
+        raise MalformedStream("the root has a sibling: the blob codes a forest",
+                              part="codewords", bit_offset=words_at)
+    return fcns_inverse(BinaryTree(layout.n, *kids.tolist()))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -282,67 +282,17 @@ def bp_decode_ordinal(buf: BitBuf, forest: bool = False):
 # first-child-next-sibling bijection
 
 def fcns(forest: Forest | OrdinalTree) -> BinaryTree:
-    """Map an ordinal forest to a binary tree: first child -> left,
-    next sibling -> right. Preserves DFS order of nodes, so
-    BP_o(f) == BP(fcns(f)) bit for bit."""
-    trees = [forest] if isinstance(forest, OrdinalTree) else forest
-    n = sum(t.n for t in trees)
-    if n == 0:
-        return BinaryTree(0, [0], [0])
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    base = 0
-    prev_root = 0
-    for t in trees:
-        if not t.n:
-            continue
-        ch = t.children
-        for v in range(1, t.n + 1):
-            kids = ch[v]
-            if kids:
-                left[base + v] = base + kids[0]
-            for a, b in zip(kids, kids[1:]):
-                right[base + a] = base + b
-        if prev_root:
-            right[prev_root] = base + 1
-        prev_root = base + 1
-        base += t.n
-    return BinaryTree(n, left, right)
+    """Map an ordinal forest to a binary tree: first child -> left, next
+    sibling -> right (Knuth's natural correspondence, TAOCP vol. 1,
+    2.3.2). Preorder ids are kept, so BP_o(f) == BP(fcns(f)) bit for bit,
+    and the map is that BP string read back as a binary tree."""
+    return bp_decode_binary(bp_encode_ordinal(forest))
 
 
 def fcns_inverse(t: BinaryTree) -> Forest:
-    """Inverse of fcns; returns the ordinal forest."""
-    if not t.n:
-        return []
-    children: list[list[int]] = [[] for _ in range(t.n + 1)]
-    roots = []
-    v = t.root
-    while v:
-        roots.append(v)
-        v = t.right[v]
-    # walk: each node's ordinal children = left child then its right-chain
-    stack = list(reversed(roots))
-    while stack:
-        v = stack.pop()
-        c = t.left[v]
-        while c:
-            children[v].append(c)
-            stack.append(c)
-            c = t.right[c]
-    # split into per-tree structures: roots begin new trees
-    out: Forest = []
-    for r in roots:
-        # collect nodes of this ordinal tree in DFS order
-        order = []
-        st = [r]
-        while st:
-            v = st.pop()
-            order.append(v)
-            st.extend(reversed(children[v]))
-        idx = {v: i + 1 for i, v in enumerate(order)}
-        ch = [[]] + [[idx[c] for c in children[v]] for v in order]
-        out.append(OrdinalTree(len(order), ch))
-    return out
+    """Inverse of fcns; returns the ordinal forest, one tree per node on
+    the root's right chain."""
+    return bp_decode_ordinal(bp_encode_binary(t), forest=True)
 
 
 def fcns_full(t: OrdinalTree) -> BinaryTree:

@@ -101,7 +101,7 @@ def roundtrip_corpus():
             t = make(n, S.derive_seed("c1o", name, n, i))
             B = desk_block(t.n) if t.n >= 2 ** 14 else None
             cov = decompose_ordinal(t, B)
-            blob = hs_encode_ordinal(t, cover=cov)
+            blob = hs_encode_ordinal(t, B)
             back = hs_decode_ordinal(blob)
             trees += 1
             if back != t:

@@ -4,10 +4,14 @@ import json
 import pytest
 
 from conftest import FIGURE_BP, flipped_bst_blob
+from hypertree import sources as S
 from hypertree.cli import main
 from hypertree.cover import decompose_binary
+from hypertree.hypercodec import (
+    HsBlob, hs_encode_binary, hs_encode_ordinal, parse_binary_blob, write_hst,
+)
 from hypertree.rmq import rmq_build
-from hypertree.trees import bp_decode_binary, parse_bp
+from hypertree.trees import BinaryTree, bp_decode_binary, bp_encode_ordinal, parse_bp
 
 
 def run(*argv):
@@ -50,6 +54,18 @@ def test_decode_rejects_flipped_blob(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     # the reader names the part and the payload bit where it failed
     assert "in the crc, at payload bit 1104" in err
+
+
+def test_decode_rejects_ordinal_forest_blob(tmp_path, capsys):
+    # the binary blob of a tree whose root has a right child, as an ordinal
+    # blob, codes a forest
+    blob = hs_encode_binary(BinaryTree(3, [0, 2, 0, 0], [0, 3, 0, 0]))
+    hst = tmp_path / "forest.hst"
+    write_hst(str(hst), HsBlob("ordinal", blob.bits))
+    assert run("decode", str(hst), str(tmp_path / "out.bp")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "in the codewords" in err
 
 
 def test_usage_error_exit_code():
@@ -129,6 +145,20 @@ def test_analyze_ordinal_and_dump(tmp_path, capsys):
     assert "shapeEntropy" in row and "cover" in row
 
 
+def test_analyze_ordinal_reports_its_blob(tmp_path, capsys):
+    # the space and the micro-tree count are those of the blob that
+    # ``encode`` writes
+    t = S.sample(S.LrmSource(), 500, 17)
+    src = tmp_path / "o.bp"
+    src.write_text(bp_encode_ordinal(t).to_paren() + "\n")
+    for B in (2, 5):
+        assert run("analyze", "--kind", "ordinal", "--block", str(B), str(src)) == 0
+        row = json.loads(capsys.readouterr().out)
+        blob = hs_encode_ordinal(t, B)
+        assert row["space"]["total"] == len(blob)
+        assert row["m"] == len(parse_binary_blob(HsBlob("binary", blob.bits)).shape_id)
+
+
 def test_rmq_commands(tmp_path, capsys):
     arr = tmp_path / "a.txt"
     arr.write_text("2 3 4 1 6 5 7 9 10 8\n")
@@ -178,8 +208,9 @@ def test_bench_ordinal_source(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
-# ``analyze --dump-cover`` of seeded trees, as the dump read before the
-# covers became arrays: one binary tree (B = 3) and one ordinal tree (B = 2)
+# ``analyze --dump-cover`` of seeded trees: one binary tree (B = 3), as the
+# dump read before the covers became arrays, and one ordinal tree (B = 2),
+# whose dump is the binary cover of its fcns tree
 DUMP_PINNED = {
     ("bst", 3, "binary"): [
         {"i": 0, "leftPortal": 2, "nodes": [1, 2], "root": 1},
@@ -192,24 +223,23 @@ DUMP_PINNED = {
         {"i": 7, "leftPortal": 3, "nodes": [17, 18, 19], "root": 17},
         {"i": 8, "nodes": [20, 21, 22], "root": 20}],
     ("lrm", 2, "ordinal"): [
-        {"edgeType": 0, "i": 0, "nodes": [1, 4], "root": 1},
-        {"edgeType": 0, "i": 1, "nodes": [2, 3], "root": 2},
-        {"edgeType": 2, "extPortal": [1, 1], "i": 2, "nodes": [5], "root": 5},
-        {"edgeType": 4, "i": 3, "nodes": [6, 7], "root": 6},
-        {"edgeType": 2, "i": 4, "nodes": [8, 9], "root": 8},
-        {"edgeType": 2, "i": 5, "nodes": [10, 11], "root": 10},
-        {"edgeType": 3, "extPortal": [1, 1], "i": 6, "nodes": [10], "root": 10},
-        {"edgeType": 4, "i": 7, "nodes": [12, 13], "root": 12},
-        {"edgeType": 2, "extPortal": [1, 1], "i": 8, "nodes": [14], "root": 14},
-        {"edgeType": 4, "i": 9, "nodes": [15, 16], "root": 15},
-        {"edgeType": 2, "i": 10, "nodes": [17, 18], "root": 17},
-        {"edgeType": 3, "extPortal": [2, 1], "i": 11, "nodes": [17, 19], "root": 17},
-        {"edgeType": 4, "i": 12, "nodes": [20, 21], "root": 20},
-        {"edgeType": 4, "extPortal": [1, 1], "i": 13, "nodes": [20, 24], "root": 20},
-        {"edgeType": 4, "i": 14, "nodes": [22, 23], "root": 22}],
+        {"i": 0, "leftPortal": 0, "nodes": [1], "root": 1},
+        {"i": 1, "leftPortal": 3, "nodes": [2, 3, 4], "root": 2},
+        {"i": 2, "leftPortal": 0, "nodes": [5], "rightPortal": 1, "root": 5},
+        {"i": 3, "nodes": [6, 7], "root": 6},
+        {"i": 4, "leftPortal": 1, "nodes": [8, 9], "root": 8},
+        {"i": 5, "leftPortal": 0, "nodes": [10], "rightPortal": 1, "root": 10},
+        {"i": 6, "leftPortal": 1, "nodes": [11], "root": 11},
+        {"i": 7, "nodes": [12, 13], "root": 12},
+        {"i": 8, "leftPortal": 0, "nodes": [14], "rightPortal": 1, "root": 14},
+        {"i": 9, "nodes": [15, 16], "root": 15},
+        {"i": 10, "leftPortal": 0, "nodes": [17], "root": 17},
+        {"i": 11, "leftPortal": 1, "nodes": [18, 19], "root": 18},
+        {"i": 12, "leftPortal": 1, "nodes": [20, 21], "root": 20},
+        {"i": 13, "nodes": [22, 23, 24], "root": 22}],
 }
 # the same dumps of two seeded trees per source, at B = 1, 3 and 5, hashed
-DUMP_PINNED_SHA256 = "ec477aff5b82699ef6c53687d4886112ac112f5f7fb6d68c6b8d8329834425a1"
+DUMP_PINNED_SHA256 = "e4db4ff889ebec11cdec5aa69cd8dc996fe092f98f557d7c16fa2f4b6516e4c5"
 
 
 def _dumps(tmp_path, capsys, spec, size, seed, count, kind, blocks):

@@ -16,8 +16,8 @@ from hypertree.hypercodec import (
     space_report, write_hst,
 )
 from hypertree.trees import (
-    bp_decode_binary, bp_encode_binary, bp_encode_ordinal, left_chain, ordinal_path, ordinal_star,
-    single_node,
+    BinaryTree, bp_decode_binary, bp_encode_binary, bp_encode_ordinal, fcns, left_chain,
+    ordinal_path, ordinal_star, single_node,
 )
 from hypertree import sources as S
 
@@ -201,6 +201,31 @@ def test_decode_rejects_garbage():
         hs_decode_binary(HsBlob.from_bytes(flipped_bst_blob()))
 
 
+def test_ordinal_forest_blob_rejected():
+    # the binary blob of a tree whose root has a right child codes a forest
+    t = BinaryTree(3, [0, 2, 0, 0], [0, 3, 0, 0])
+    for B in (None, 1, 3):
+        blob = hs_encode_binary(t, B)
+        with pytest.raises(MalformedStream) as info:
+            hs_decode_ordinal(HsBlob("ordinal", blob.bits))
+        assert info.value.part == "codewords"
+        assert info.value.bit_offset == blob.parts["header"] + blob.parts["codebook"]
+    # at B = 3 this forest's root is a micro tree of its own, and its
+    # sibling hangs from that micro tree's second portal
+    forest = [S.sample(S.LrmSource(), 300, 9), ordinal_star(40)]
+    with pytest.raises(MalformedStream, match="forest"):
+        hs_decode_ordinal(HsBlob("ordinal", hs_encode_binary(fcns(forest), 3).bits))
+
+
+def test_old_ordinal_kind_byte_refused():
+    # kind 0x01 was the ordinal layout with a written top tier and edge types
+    raw = bytearray(hs_encode_ordinal(ordinal_star(20)).to_bytes())
+    assert raw[4] == 0x02
+    raw[4] = 0x01
+    with pytest.raises(MalformedStream, match="unknown kind byte"):
+        HsBlob.from_bytes(bytes(raw))
+
+
 def test_space_report_consistency(rng):
     t = random_bst(rng, 3000)
     rep = space_report(t)
@@ -213,9 +238,8 @@ def test_space_report_consistency(rng):
     t2 = ordinal_star(500)
     rep2 = space_report(t2)
     assert sum(rep2[k] for k in parts) == rep2["total"]
-    # one 3-bit parent edge type per codebook symbol
-    stats = hypercodec.cover_stats(decompose_ordinal(t2))
-    assert rep2["edgeTypes"] == 3 * stats["distinctSymbols"] > 0
+    # an ordinal blob is the binary blob of fcns(t), under another kind byte
+    assert rep2 == space_report(fcns(t2))
 
 
 def test_space_report_single_micro(rng):
@@ -577,12 +601,13 @@ def test_binary_format_pinned():
     assert h.hexdigest() == PINNED_SHA256
 
 
-ORDINAL_PINNED_SHA256 = "f3aff5bfe65998f5f31a35785d0bf8749b26634698a2fec78da1abb2ebf018f0"
+ORDINAL_PINNED_SHA256 = "904f68368334f7a2feba0ba7e2582a5a4afc1a6b843f749b2c08c9f80e9bee51"
 
 
 def test_ordinal_format_pinned():
     # ordinal blobs and their parts, byte for byte, as the format stood
-    # when the ordinal cover became arrays
+    # when an ordinal tree became the binary blob of its fcns tree; each
+    # payload is that binary blob's
     import hashlib
     import json
 
@@ -594,6 +619,7 @@ def test_ordinal_format_pinned():
     for t in trees:
         for B in (None, 1, 3, 6):
             blob = hs_encode_ordinal(t, B)
+            assert blob.to_bytes()[5:] == hs_encode_binary(fcns(t), B).to_bytes()[5:]
             h.update(blob.to_bytes())
             h.update(json.dumps(blob.parts, sort_keys=True).encode())
     assert h.hexdigest() == ORDINAL_PINNED_SHA256

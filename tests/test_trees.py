@@ -163,6 +163,82 @@ def test_fcns_bp_identity_and_roundtrip(rng):
         assert fcns_inverse(b) == f
 
 
+def fcns_walk(forest):
+    """The loop ``fcns`` used to run, one node at a time: the reference its
+    BP composition must match."""
+    trees = [forest] if isinstance(forest, OrdinalTree) else forest
+    n = sum(t.n for t in trees)
+    if n == 0:
+        return BinaryTree(0, [0], [0])
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    base = 0
+    prev_root = 0
+    for t in trees:
+        if not t.n:
+            continue
+        ch = t.children
+        for v in range(1, t.n + 1):
+            kids = ch[v]
+            if kids:
+                left[base + v] = base + kids[0]
+            for a, b in zip(kids, kids[1:]):
+                right[base + a] = base + b
+        if prev_root:
+            right[prev_root] = base + 1
+        prev_root = base + 1
+        base += t.n
+    return BinaryTree(n, left, right)
+
+
+def fcns_inverse_walk(t):
+    """The stack walk ``fcns_inverse`` used to run: the reference its BP
+    composition must match."""
+    if not t.n:
+        return []
+    children = [[] for _ in range(t.n + 1)]
+    roots = []
+    v = t.root
+    while v:
+        roots.append(v)
+        v = t.right[v]
+    # each node's ordinal children: its left child, then that one's right chain
+    stack = list(reversed(roots))
+    while stack:
+        v = stack.pop()
+        c = t.left[v]
+        while c:
+            children[v].append(c)
+            stack.append(c)
+            c = t.right[c]
+    out = []
+    for r in roots:
+        order = []
+        st = [r]
+        while st:
+            v = st.pop()
+            order.append(v)
+            st.extend(reversed(children[v]))
+        idx = {v: i + 1 for i, v in enumerate(order)}
+        ch = [[]] + [[idx[c] for c in children[v]] for v in order]
+        out.append(OrdinalTree(len(order), ch))
+    return out
+
+
+def test_fcns_matches_walk(rng):
+    cases = [[], [OrdinalTree(0, [[]])], [ordinal_star(1)], ordinal_star(1),
+             [ordinal_star(10_000)], [ordinal_path(10_000)],
+             [ordinal_path(3), OrdinalTree(0, [[]]), ordinal_star(4)]]
+    cases += [rand_forest(rng, max_trees=5, max_n=60) for _ in range(300)]
+    for f in cases:
+        b = fcns(f)
+        assert b == fcns_walk(f)
+        assert fcns_inverse(b) == fcns_inverse_walk(b)
+    for n in (0, 1, 10_000):
+        for t in (left_chain(n), random_bst(random.Random(n), n)):
+            assert fcns_inverse(t) == fcns_inverse_walk(t)
+
+
 def test_fcns_single_node():
     b = fcns([ordinal_star(1)])
     assert b == single_node()
