@@ -227,11 +227,11 @@ class BitCursor:
                                   bit_offset=self.pos)
 
 
-def gamma_encode(n: int, out: BitBuf | None = None) -> BitBuf:
+def gamma_encode(n: int) -> BitBuf:
     """Elias gamma code of ``n >= 1``: floor(lg n) zeros then binary(n)."""
     if n < 1:
         raise ValueError("gamma code needs n >= 1 (callers encode n+1 for zero)")
-    buf = out if out is not None else BitBuf()
+    buf = BitBuf()
     width = n.bit_length()
     buf.append_bits(0, width - 1)
     buf.append_bits(n, width)

@@ -168,13 +168,13 @@ def runs_profile(values) -> RunsProfile:
     return RunsProfile(n, r, s)
 
 
-def bp_encode_postorder_variant(t: BinaryTree, out: BitBuf | None = None) -> BitBuf:
+def bp_encode_postorder_variant(t: BinaryTree) -> BitBuf:
     """The runs-analysis BP variant: code(t) = code(L) "(" code(R) ")".
 
     Nodes appear at their inorder position; peaks of the resulting Dyck path
     are exactly the run ends of the underlying array.
     """
-    buf = out if out is not None else BitBuf()
+    buf = BitBuf()
     # post-style emission: left subtree, then "(", right subtree, then ")"
     stack = [(t.root, 0)] if t.n else []
     while stack:

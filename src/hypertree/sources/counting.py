@@ -269,26 +269,7 @@ def shape_meta(s) -> tuple[int, int]:
 
 def shape_to_tree(s) -> BinaryTree:
     """Materialize a tuple shape as a preorder-numbered BinaryTree."""
-    left = [0]
-    right = [0]
-    stack = [(s, 0, 0)]
-    cnt = 0
-    while stack:
-        cur, parent, side = stack.pop()
-        if cur is None:
-            continue
-        cnt += 1
-        left.append(0)
-        right.append(0)
-        if parent:
-            if side == 0:
-                left[parent] = cnt
-            else:
-                right[parent] = cnt
-        l, r = cur
-        stack.append((r, cnt, 1))
-        stack.append((l, cnt, 0))
-    return BinaryTree(cnt, left, right)
+    return BinaryTree.grow(s, lambda cur: cur)
 
 
 def count_subclass(cls: str, n: int, alpha=None) -> int:

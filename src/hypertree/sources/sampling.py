@@ -1,16 +1,26 @@
 """Exact samplers for every source family.
 
 Each sampler takes an explicit ``random.Random`` (or a seed); nothing global.
-Trees come back preorder-numbered. Sampling is exact for the families with
-rational probabilities; the binomial family draws through numpy's binomial
-sampler in floating point.
+Trees come back preorder-numbered. Every binary sampler but the uniform one
+(a whole-array cycle-lemma draw) is a split rule for ``BinaryTree.grow``: it
+maps a node's state, such as its subtree size or height, to the states of
+its children, drawing once per node in preorder. The exact ones use the
+recursive method (Flajolet, Zimmermann & Van Cutsem, TCS 1994): a split is
+drawn in proportion to the counts of the trees on either side, by ``_pick``
+for the AVL, weight-balanced and LLRB trees. Sampling is exact for the
+families with rational probabilities; the binomial family draws through
+numpy's binomial sampler in floating point.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from bisect import bisect_right
+from itertools import accumulate
+
+import numpy as np
 
 from ..bits import BitBuf
 from ..trees import BinaryTree, OrdinalTree, bp_decode_binary
@@ -64,14 +74,22 @@ def sample(source: SourceModel, target: int, seed=0):
     raise TypeError(f"no sampler for {source.name}")
 
 
+def _pick(rng, choices):
+    """The value of one of the (weight, value) ``choices``, drawn in
+    proportion to the weights by one ``randrange`` over their sum."""
+    x = rng.randrange(sum(w for w, _ in choices))
+    for w, value in choices:
+        if x < w:
+            return value
+        x -= w
+
+
 # ---------------------------------------------------------------------------
 # binary fixed-size families
 
 def _sample_fixed_size(source: FixedSizeSource, n: int, rng) -> BinaryTree:
     if n < 1:
         raise EmptyClassError("size must be >= 1")
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
     if isinstance(source, BstSource):
         draw = lambda s: rng.randrange(s)
     elif isinstance(source, FringeBalancedSource):
@@ -90,8 +108,6 @@ def _sample_fixed_size(source: FixedSizeSource, n: int, rng) -> BinaryTree:
             i = rng.randrange(2 * K + 2)
             return i if i <= K else s - 1 - (2 * K + 1 - i)
     elif isinstance(source, BinomialSource):
-        import numpy as np
-
         gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
         p = float(source.alpha)
         draw = lambda s: int(gen.binomial(s - 1, p))
@@ -102,35 +118,19 @@ def _sample_fixed_size(source: FixedSizeSource, n: int, rng) -> BinaryTree:
             got = cums.get(s)
             if got is None:
                 w, total = source.split_weights(s)
-                acc = []
-                run = 0
-                for x in w:
-                    run += x
-                    acc.append(run)
-                if run != total:
+                acc = list(accumulate(w))
+                if acc[-1] != total:
                     raise EmptyClassError(f"{source.name}: row {s} not normalized")
                 got = cums[s] = (acc, total)
             acc, total = got
             return bisect_right(acc, rng.randrange(total))
 
-    cnt = 0
-    stack = [(n, 0, 0)]
-    while stack:
-        s, parent, side = stack.pop()
-        cnt += 1
-        v = cnt
-        if parent:
-            if side == 0:
-                left[parent] = v
-            else:
-                right[parent] = v
+    def split(s):
         l = draw(s)
         r = s - 1 - l
-        if r:
-            stack.append((r, v, 1))
-        if l:
-            stack.append((l, v, 0))
-    return BinaryTree(n, left, right)
+        return l or None, r or None
+
+    return BinaryTree.grow(n, split)
 
 
 def _sample_uniform(n: int, rng) -> BinaryTree:
@@ -141,30 +141,17 @@ def _sample_uniform(n: int, rng) -> BinaryTree:
         raise EmptyClassError("size must be >= 1")
     arr = [1] * n + [0] * (n + 1)
     rng.shuffle(arr)
-    s = 0
-    best = 1
-    best_pos = -1
-    for i, x in enumerate(arr):
-        s += 1 if x else -1
-        if s < best:
-            best = s
-            best_pos = i
-    rot = arr[best_pos + 1:] + arr[:best_pos + 1]
-    buf = BitBuf()
-    for x in rot[:-1]:
-        buf.append_bit(x)
-    return bp_decode_binary(buf)
+    bits = np.array(arr, dtype=np.uint8)
+    first_min = int(np.argmin(np.cumsum(2 * bits.astype(np.int64) - 1)))
+    return bp_decode_binary(BitBuf.from_array(np.roll(bits, -first_min - 1)[:-1]))
 
 
 # ---------------------------------------------------------------------------
 # branching processes
 
 def _weights_from_fractions(rows) -> tuple[list[int], int]:
-    den = 1
-    for f in rows:
-        den = den * f.denominator // __import__("math").gcd(den, f.denominator)
-    w = [int(f * den) for f in rows]
-    return w, den
+    den = math.lcm(*(f.denominator for f in rows))
+    return [int(f * den) for f in rows], den
 
 
 def _sample_type_process(tp: TypeProcess, cap: int, rng) -> BinaryTree:
@@ -173,46 +160,25 @@ def _sample_type_process(tp: TypeProcess, cap: int, rng) -> BinaryTree:
     k = tp.k
     tables: dict[tuple, tuple[list[int], int]] = {}
 
-    def draw(hist):
+    def split(hist):
         got = tables.get(hist)
         if got is None:
             w, den = _weights_from_fractions(tp.row(hist))
-            acc = [w[0], w[0] + w[1], w[0] + w[1] + w[2], den]
-            got = tables[hist] = (acc, den)
+            got = tables[hist] = (list(accumulate(w)), den)
         acc, den = got
-        return bisect_right(acc, rng.randrange(den))
+        ty = bisect_right(acc, rng.randrange(den))
+        child = (hist + (ty,))[-k:] if k else hist
+        return (child if ty in (1, 2) else None), (child if ty in (2, 3) else None)
 
+    # an attempt spends one unit of budget per node it reaches, the node
+    # that passes the cap included
     budget = 100 * cap
     while budget > 0:
-        left = [0]
-        right = [0]
-        cnt = 0
-        ok = True
-        stack = [(0, (1,) * k)]
-        while stack:
-            parent_side, hist = stack.pop()
-            cnt += 1
-            budget -= 1
-            if cnt > cap or budget <= 0:
-                ok = False
-                break
-            v = cnt
-            left.append(0)
-            right.append(0)
-            parent, side = parent_side >> 1, parent_side & 1
-            if parent:
-                if side == 0:
-                    left[parent] = v
-                else:
-                    right[parent] = v
-            ty = draw(hist)
-            child = (hist + (ty,))[-k:] if k else hist
-            if ty in (2, 3):
-                stack.append(((v << 1) | 1, child))
-            if ty in (1, 2):
-                stack.append((v << 1, child))
-        if ok:
-            return BinaryTree(cnt, left, right)
+        limit = min(cap, budget - 1)
+        t = BinaryTree.grow((1,) * k, split, cap=limit)
+        if t is not None:
+            return t
+        budget -= limit + 1
     raise EmptyClassError(
         f"type process failed to produce a tree within the size cap {cap}")
 
@@ -221,11 +187,7 @@ def _sample_degree(src: DegreeDist, cap: int, rng) -> OrdinalTree:
     if cap < 1:
         raise EmptyClassError("size cap must be >= 1")
     w, den = _weights_from_fractions(src.d)
-    acc = []
-    run = 0
-    for x in w:
-        run += x
-        acc.append(run)
+    acc = list(accumulate(w))
     budget = 100 * cap
     while budget > 0:
         children: list[list[int]] = [[]]
@@ -246,10 +208,8 @@ def _sample_degree(src: DegreeDist, cap: int, rng) -> OrdinalTree:
             for _ in range(deg):
                 stack.append(cnt)
         if ok:
-            # children were appended in pop order; reverse to left-to-right
-            # (stack pops give right-to-left child creation)
-            t = OrdinalTree(cnt, children)
-            return _renumber_preorder(t)
+            # nodes are numbered as they pop, which is preorder
+            return OrdinalTree(cnt, children)
     raise EmptyClassError(
         f"degree process failed to produce a tree within the size cap {cap}")
 
@@ -264,39 +224,18 @@ def _renumber_preorder(t: OrdinalTree) -> OrdinalTree:
 def _sample_avl_height(h: int, rng) -> BinaryTree:
     if h < 1:
         raise EmptyClassError("height must be >= 1")
-    counting.avl_height_counts(h)
-    nodes_left: list[int] = [0]
-    nodes_right: list[int] = [0]
-    cnt = 0
-    stack = [(h, 0, 0)]
     a = counting.avl_height_counts(h)
-    while stack:
-        hh, parent, side = stack.pop()
-        cnt += 1
-        v = cnt
-        nodes_left.append(0)
-        nodes_right.append(0)
-        if parent:
-            if side == 0:
-                nodes_left[parent] = v
-            else:
-                nodes_right[parent] = v
+
+    def split(hh):
         if hh == 1:
-            continue
+            return None, None
         w1 = a[hh - 2] * a[hh - 1]
         w2 = a[hh - 1] * a[hh - 1]
-        x = rng.randrange(2 * w1 + w2)
-        if x < w1:
-            hl, hr = hh - 2, hh - 1
-        elif x < w1 + w2:
-            hl, hr = hh - 1, hh - 1
-        else:
-            hl, hr = hh - 1, hh - 2
-        if hr:
-            stack.append((hr, v, 1))
-        if hl:
-            stack.append((hl, v, 0))
-    return BinaryTree(cnt, nodes_left, nodes_right)
+        hl, hr = _pick(rng, [(w1, (hh - 2, hh - 1)), (w2, (hh - 1, hh - 1)),
+                             (w1, (hh - 1, hh - 2))])
+        return hl or None, hr or None
+
+    return BinaryTree.grow(h, split)
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +305,11 @@ def _sample_avl_size(n: int, rng) -> BinaryTree:
     table = counting.avl_size_table(n)
     if not table[n]:
         raise EmptyClassError(f"no AVL tree of size {n}")
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    hs = sorted(table[n])
-    x = rng.randrange(sum(table[n].values()))
-    for h in hs:
-        if x < table[n][h]:
-            break
-        x -= table[n][h]
-    cnt = 0
-    stack = [(n, h, 0, 0)]
-    while stack:
-        k, hh, parent, side = stack.pop()
-        cnt += 1
-        v = cnt
-        if parent:
-            if side == 0:
-                left[parent] = v
-            else:
-                right[parent] = v
+
+    def split(state):  # (size, height)
+        k, hh = state
         if k == 1:
-            continue
+            return None, None
         # choose (l, hl, hr) proportional to count products
         choices = []
         for l in range(k):
@@ -397,54 +320,29 @@ def _sample_avl_size(n: int, rng) -> BinaryTree:
                         continue
                     cr = table[r].get(hr)
                     if cr:
-                        choices.append((cl * cr, l, hl, hr))
-        x = rng.randrange(sum(c[0] for c in choices))
-        for w, l, hl, hr in choices:
-            if x < w:
-                break
-            x -= w
+                        choices.append((cl * cr, (l, hl, hr)))
+        l, hl, hr = _pick(rng, choices)
         r = k - 1 - l
-        if r:
-            stack.append((r, hr, v, 1))
-        if l:
-            stack.append((l, hl, v, 0))
-    return BinaryTree(n, left, right)
+        return ((l, hl) if l else None), ((r, hr) if r else None)
+
+    height = _pick(rng, [(c, h) for h, c in sorted(table[n].items())])
+    return BinaryTree.grow((n, height), split)
 
 
 def _sample_wb(alpha, n: int, rng) -> BinaryTree:
     counts = counting.wb_counts(alpha, n)
     if counts[n] == 0:
         raise EmptyClassError(f"no {alpha}-weight-balanced tree of size {n}")
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    cnt = 0
-    stack = [(n, 0, 0)]
-    while stack:
-        k, parent, side = stack.pop()
-        cnt += 1
-        v = cnt
-        if parent:
-            if side == 0:
-                left[parent] = v
-            else:
-                right[parent] = v
-        if k <= 1:
-            continue
-        x = rng.randrange(counts[k])
-        for l in range(k):
-            r = k - 1 - l
-            if not counting.wb_split_ok(alpha, l, r):
-                continue
-            w = counts[l] * counts[r]
-            if x < w:
-                break
-            x -= w
+
+    def split(k):
+        if k == 1:
+            return None, None
+        l = _pick(rng, [(counts[i] * counts[k - 1 - i], i) for i in range(k)
+                        if counting.wb_split_ok(alpha, i, k - 1 - i)])
         r = k - 1 - l
-        if r:
-            stack.append((r, v, 1))
-        if l:
-            stack.append((l, v, 0))
-    return BinaryTree(n, left, right)
+        return l or None, r or None
+
+    return BinaryTree.grow(n, split)
 
 
 def _sample_llrb(n: int, rng) -> BinaryTree:
@@ -453,32 +351,16 @@ def _sample_llrb(n: int, rng) -> BinaryTree:
     A, _ = table[n]
     if not A:
         raise EmptyClassError(f"no left-leaning red-black tree of size {n}")
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    hs = sorted(A)
-    x = rng.randrange(sum(A.values()))
-    for h in hs:
-        if x < A[h]:
-            break
-        x -= A[h]
-    cnt = 0
-    stack = [(n, h, 0, 0, 0)]  # (size, bh, red incoming, parent, side)
-    while stack:
-        k, hh, red, parent, side = stack.pop()
-        cnt += 1
-        v = cnt
-        if parent:
-            if side == 0:
-                left[parent] = v
-            else:
-                right[parent] = v
+
+    def split(state):  # (size, black-height, red incoming edge)
+        k, hh, red = state
         if k == 1:
-            continue
-        choices = []  # (weight, l, hl, redl, hr, redr) ; r = k-1-l
+            return None, None
+        choices = []  # (weight, (l, hl, redl, hr, redr)); r = k-1-l
         if hh == 1 and not red:
             _, r1 = table[k - 1]
             if 1 in r1:
-                choices.append((r1[1], k - 1, 1, 1, None, None))
+                choices.append((r1[1], (k - 1, 1, 1, None, None)))
         for l in range(1, k - 1):
             r = k - 1 - l
             Al, Rl = table[l]
@@ -486,25 +368,19 @@ def _sample_llrb(n: int, rng) -> BinaryTree:
             cl = Al.get(hh - 1)
             cr = Ar.get(hh - 1)
             if cl and cr:
-                choices.append((cl * cr, l, hh - 1, 0, hh - 1, 0))
+                choices.append((cl * cr, (l, hh - 1, 0, hh - 1, 0)))
             if not red:
                 cl = Rl.get(hh)
                 cr = Ar.get(hh - 1)
                 if cl and cr:
-                    choices.append((cl * cr, l, hh, 1, hh - 1, 0))
+                    choices.append((cl * cr, (l, hh, 1, hh - 1, 0)))
                 cl = Rl.get(hh)
                 cr = Rr.get(hh)
                 if cl and cr:
-                    choices.append((cl * cr, l, hh, 1, hh, 1))
-        x = rng.randrange(sum(c[0] for c in choices))
-        for w, l, hl, redl, hr, redr in choices:
-            if x < w:
-                break
-            x -= w
-        if hr is None:  # left-unary
-            stack.append((k - 1, hl, redl, v, 0))
-        else:
-            r = k - 1 - l
-            stack.append((r, hr, redr, v, 1))
-            stack.append((l, hl, redl, v, 0))
-    return BinaryTree(n, left, right)
+                    choices.append((cl * cr, (l, hh, 1, hh, 1)))
+        l, hl, redl, hr, redr = _pick(rng, choices)
+        # hr is None for a left-unary node
+        return (l, hl, redl), (None if hr is None else (k - 1 - l, hr, redr))
+
+    height = _pick(rng, [(c, h) for h, c in sorted(A.items())])
+    return BinaryTree.grow((n, height, 0), split)

@@ -41,32 +41,42 @@ class BinaryTree:
         return f"BinaryTree(n={self.n}, bp={bp_encode_binary(self).to_paren()!r})" if self.n <= 24 else f"BinaryTree(n={self.n})"
 
     @staticmethod
+    def grow(root, split, cap: int | None = None) -> "BinaryTree | None":
+        """Build a tree top-down from the state of its root: ``split(state)``
+        returns the states of the left and right child, None for no child.
+        ``split`` runs once per node, in preorder, so a sampler that draws
+        in it draws in preorder. ``root=None`` gives the empty tree; past
+        ``cap`` nodes the result is None, and ``split`` does not run on the
+        node that passes it."""
+        left = [0]
+        right = [0]
+        if root is None:
+            return BinaryTree(0, left, right)
+        limit = cap if cap is not None else float("inf")
+        n = 0
+        # (state, parent, the parent's link list); the root's link lands in
+        # the unused slot left[0], reset below
+        stack = [(root, 0, left)]
+        while stack:
+            state, parent, links = stack.pop()
+            n += 1
+            if n > limit:
+                return None
+            links[parent] = n
+            left.append(0)
+            right.append(0)
+            l, r = split(state)
+            if r is not None:
+                stack.append((r, n, right))
+            if l is not None:
+                stack.append((l, n, left))
+        left[0] = 0
+        return BinaryTree(n, left, right)
+
+    @staticmethod
     def from_links(root: int, left: dict | list, right: dict | list) -> "BinaryTree":
         """Renumber an arbitrary-id link structure into preorder form."""
-        if not root:
-            return BinaryTree(0, [0], [0])
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            r = right[v]
-            l = left[v]
-            if r:
-                stack.append(r)
-            if l:
-                stack.append(l)
-        idx = {v: i + 1 for i, v in enumerate(order)}
-        n = len(order)
-        nl = [0] * (n + 1)
-        nr = [0] * (n + 1)
-        for v in order:
-            i = idx[v]
-            if left[v]:
-                nl[i] = idx[left[v]]
-            if right[v]:
-                nr[i] = idx[right[v]]
-        return BinaryTree(n, nl, nr)
+        return BinaryTree.grow(root or None, lambda v: (left[v] or None, right[v] or None))
 
 
 class OrdinalTree:
@@ -113,7 +123,7 @@ Forest = list  # list[OrdinalTree]
 # ---------------------------------------------------------------------------
 # balanced-parenthesis codecs ('(' = 1, ')' = 0)
 
-def bp_encode_binary(t: BinaryTree, out: BitBuf | None = None) -> BitBuf:
+def bp_encode_binary(t: BinaryTree) -> BitBuf:
     """BP(t) = "(" BP(left) ")" BP(right); 2n bits.
 
     Vectorized: node v opens at 2(v - 1) minus its left depth, the number of
@@ -130,25 +140,21 @@ def bp_encode_binary(t: BinaryTree, out: BitBuf | None = None) -> BitBuf:
     depth = np.zeros(n + 1, dtype=np.int64)
     depth[left] = 1
     up[0] = depth[0] = 0
-    return _bp_opens(up, depth, out)
+    return _bp_opens(up, depth)
 
 
-def _bp_opens(up: np.ndarray, depth: np.ndarray, out: BitBuf | None) -> BitBuf:
+def _bp_opens(up: np.ndarray, depth: np.ndarray) -> BitBuf:
     """The BP string of nodes 1..n in preorder where node v opens at
     2(v - 1) minus the sum of ``depth`` over v and its ancestors, whose
-    parent links are ``up`` (0 above a root); appended to ``out`` if given.
-    The sums are taken by pointer doubling."""
+    parent links are ``up`` (0 above a root). The sums are taken by pointer
+    doubling."""
     while up.any():
         depth += depth[up]
         up = up[up]
     n = len(up) - 1
     bits = np.zeros(2 * n, dtype=np.uint8)
     bits[2 * np.arange(n) - depth[1:]] = 1
-    buf = BitBuf.from_array(bits)
-    if out is None:
-        return buf
-    out.append_bits(buf.to_int(), len(buf))
-    return out
+    return BitBuf.from_array(bits)
 
 
 def bp_decode_binary(buf: BitBuf) -> BinaryTree:
@@ -216,7 +222,7 @@ def binary_from_child_flags(has_left: np.ndarray, has_right: np.ndarray) -> np.n
     return child
 
 
-def bp_encode_ordinal(forest: Forest | OrdinalTree, out: BitBuf | None = None) -> BitBuf:
+def bp_encode_ordinal(forest: Forest | OrdinalTree) -> BitBuf:
     """BP_o(t) = "(" BP_o(t_1) ... BP_o(t_k) ")"; concatenated over a forest.
 
     Vectorized like ``bp_encode_binary``: with the trees' nodes numbered
@@ -232,7 +238,7 @@ def bp_encode_ordinal(forest: Forest | OrdinalTree, out: BitBuf | None = None) -
     first = np.cumsum(sizes) - sizes  # each tree's id offset
     up = np.zeros(n + 1, dtype=np.int64)
     up[kids + np.repeat(first, sizes - 1)] = np.repeat(np.arange(1, n + 1), deg)
-    return _bp_opens(up, (up != 0).astype(np.int64), out)
+    return _bp_opens(up, (up != 0).astype(np.int64))
 
 
 def bp_decode_ordinal(buf: BitBuf, forest: bool = False):
@@ -299,34 +305,8 @@ def fcns_full(t: OrdinalTree) -> BinaryTree:
     """Modified FCNS: materialize every null of fcns(t) as a leaf, yielding
     a full binary tree with 2n+1 nodes."""
     b = fcns([t])
-    n2 = 2 * b.n + 1
-    left = [0] * (n2 + 1)
-    right = [0] * (n2 + 1)
-    if b.n == 0:
-        return BinaryTree(1, [0, 0], [0, 0])
-    # rebuild in preorder with explicit leaves
-    nxt = 0
-    out_left: list[int] = [0]
-    out_right: list[int] = [0]
-    # frames: (original node or 0 for a materialized leaf, parent slot ref)
-    # simpler: recursive shape expansion via stack producing preorder ids
-    stack: list[tuple[int, int, int]] = [(b.root, 0, 0)]  # (orig, parent, side 0=left 1=right)
-    while stack:
-        orig, par, side = stack.pop()
-        nxt += 1
-        out_left.append(0)
-        out_right.append(0)
-        if par:
-            if side == 0:
-                out_left[par] = nxt
-            else:
-                out_right[par] = nxt
-        if orig:
-            me = nxt
-            # push right first so left is expanded next (preorder)
-            stack.append((b.right[orig], me, 1))
-            stack.append((b.left[orig], me, 0))
-    return BinaryTree(nxt, out_left, out_right)
+    # a state is a node of b, or 0 for a null made a leaf
+    return BinaryTree.grow(b.root, lambda v: (b.left[v], b.right[v]) if v else (None, None))
 
 
 # ---------------------------------------------------------------------------

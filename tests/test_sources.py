@@ -278,6 +278,44 @@ def test_sampler_deterministic_per_seed():
     assert a == b and a != c
 
 
+SAMPLES_PINNED_SHA256 = "52ad7af78657b2138cb3c5982037b92eaf26b688401a34a3898aa9446abd165e"
+
+
+def test_samples_pinned():
+    # the BP string of every seeded sample, as the samplers drew them when
+    # the binary ones became split rules for BinaryTree.grow; a failed draw
+    # (EmptyClassError) is pinned too
+    import hashlib
+
+    from hypertree.trees import bp_encode_ordinal
+
+    small, large = (1, 2, 3, 7, 40), (1, 2, 3, 7, 40, 300, 2000)
+    grid = [(spec, large) for spec in (
+        "bst", "uniform", "binomial:0.5", "binomial:1/3", "almostpath:0",
+        "almostpath:3", "fringebalanced:1", "fringebalanced:2", "motzkin",
+        "memoryless", "memoryless:1/8,1/8,5/8,1/8", "composition", "lrm")]
+    grid += [(spec, small) for spec in ("avl-size", "llrb", "wb:2/7")]
+    grid += [("memoryless:1/40,0,39/40,0", large[:-1]), ("avl-height", (1, 2, 3, 5, 8))]
+    sources = [(spec, S.parse_source(spec), sizes) for spec, sizes in grid]
+    sources.append(("type-process(k=1)", S.TypeProcess(1, {
+        (1,): (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
+        (2,): (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)),
+        (3,): (Fraction(1, 3), Fraction(1, 3), Fraction(0), Fraction(1, 3))}), large))
+    sources.append(("degree-dist", S.DegreeDist(
+        [Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(1, 4)]), large))
+    h = hashlib.sha256()
+    for name, src, sizes in sources:
+        enc = bp_encode_binary if src.kind == "binary" else bp_encode_ordinal
+        for n in sizes:
+            for seed in range(4):
+                try:
+                    got = enc(S.sample(src, n, S.derive_seed("samples-pin", name, n, seed))).to01()
+                except S.EmptyClassError:
+                    got = "empty"
+                h.update(f"{name}|{n}|{seed}|{got}\n".encode())
+    assert h.hexdigest() == SAMPLES_PINNED_SHA256
+
+
 def test_cartesian_matches_bst_distribution():
     # Cartesian trees of random permutations have the random-BST shape law
     from hypertree.rmq import cartesian_tree

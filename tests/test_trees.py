@@ -49,6 +49,45 @@ def test_bp_binary_prefix_validity():
             bp_decode_binary(BitBuf(bad.replace("1", "(").replace("0", ")")))
 
 
+def test_grow_empty_root():
+    def split(state):
+        raise AssertionError("split ran on the empty tree")
+
+    assert BinaryTree.grow(None, split) == BinaryTree(0, [0], [0])
+    assert BinaryTree.grow(None, split, cap=0) == BinaryTree(0, [0], [0])
+
+
+def test_grow_splits_in_preorder(rng):
+    for t in [figure_tree(), left_chain(9)] + [random_bst(rng, rng.randint(1, 80))
+                                               for _ in range(30)]:
+        seen = []
+
+        def split(v):
+            seen.append(v)
+            return t.left[v] or None, t.right[v] or None
+
+        assert BinaryTree.grow(t.root, split) == t
+        assert seen == list(range(1, t.n + 1))
+    # any state but None is a node, 0 and () included
+    assert BinaryTree.grow(0, lambda s: ((), None) if s == 0 else (None, None)) == left_chain(2)
+
+
+def test_grow_cap():
+    t = figure_tree()
+    links = lambda v: (t.left[v] or None, t.right[v] or None)
+    assert BinaryTree.grow(t.root, links, cap=t.n) == t
+    seen = []
+
+    def split(v):
+        seen.append(v)
+        return links(v)
+
+    assert BinaryTree.grow(t.root, split, cap=t.n - 1) is None
+    assert seen == list(range(1, t.n))
+    assert BinaryTree.grow(t.root, links, cap=0) is None
+    assert BinaryTree.grow(1, lambda v: (None, None), cap=1) == single_node()
+
+
 def test_bp_ordinal_examples():
     assert bp_encode_ordinal(ordinal_star(1)).to_paren() == "()"
     assert bp_encode_ordinal(ordinal_star(4)).to_paren() == "(()()())"
@@ -105,10 +144,10 @@ def test_bp_ordinal_roundtrip_forest(rng):
         assert back == f
 
 
-def bp_encode_ordinal_walk(forest, out=None):
+def bp_encode_ordinal_walk(forest):
     """The stack walk that ``bp_encode_ordinal`` used to run, one bit at a
     time: the reference its vectorized form must match."""
-    buf = out if out is not None else BitBuf()
+    buf = BitBuf()
     trees = [forest] if isinstance(forest, OrdinalTree) else forest
     for t in trees:
         if not t.n:
@@ -133,11 +172,6 @@ def test_bp_ordinal_matches_walk(rng):
     cases += [f[0] for f in cases[-100:]]
     for f in cases:
         assert bp_encode_ordinal(f).to01() == bp_encode_ordinal_walk(f).to01()
-        # appending to a buffer that already holds bits
-        got, want = BitBuf("101"), BitBuf("101")
-        bp_encode_ordinal(f, got)
-        bp_encode_ordinal_walk(f, want)
-        assert got.to01() == want.to01()
 
 
 def test_fcns_worked_example():
