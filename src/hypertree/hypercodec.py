@@ -522,7 +522,9 @@ def hs_decode_ordinal(blob: HsBlob) -> OrdinalTree:
     if kids[1, 1]:
         raise MalformedStream("the root has a sibling: the blob codes a forest",
                               part="codewords", bit_offset=words_at)
-    return fcns_inverse(BinaryTree(layout.n, *kids.tolist()))[0]
+    # the binary tree holds the placement's arrays, not lists: it only passes
+    # through fcns_inverse, whose BP encoder reads arrays as they are
+    return fcns_inverse(BinaryTree(layout.n, kids[0], kids[1]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from .entropy import (
 )
 from .models import (
     AlmostPathSource, AvlByHeightSource, BinomialSource, BstSource,
-    CompositionSource, DegreeDist, EntropyReport, FixedHeightSource,
-    FixedSizeSource, FringeBalancedSource, LrmSource, SourceModel,
-    TypeProcess, UniformSource, UniformSubclass, WeightBalancedSource,
-    empirical_degree_dist, empirical_type_process, log_prob, parse_source,
+    CompositionSource, DegreeDist, EmptyClassError, EntropyReport,
+    FixedHeightSource, FixedSizeSource, FringeBalancedSource, LrmSource,
+    SourceModel, TypeProcess, UniformSource, UniformSubclass,
+    WeightBalancedSource, empirical_type_process, log_prob, parse_source,
 )
-from .sampling import EmptyClassError, derive_seed, sample
+from .sampling import derive_seed, sample
 
 __all__ = [
     "AlmostPathSource", "AvlByHeightSource", "BinomialSource", "BstSource",
@@ -27,9 +27,9 @@ __all__ = [
     "UniformSubclass", "WeightBalancedSource",
     "bst_entropy_closed_form", "bst_entropy_limit", "catalan",
     "count_subclass", "degree_entropy", "derive_seed", "dfs_arith_decode",
-    "dfs_arith_encode", "dfs_code_length", "empirical_degree_dist",
-    "empirical_type_process", "is_avl", "is_wb", "iter_shapes",
-    "llrb_colorings", "log_prob", "parse_source", "sample", "shape_entropy",
-    "shape_to_tree", "source_entropy_exhaustive", "subtree_size_entropy",
-    "type_counts", "type_entropy",
+    "dfs_arith_encode", "dfs_code_length", "empirical_type_process",
+    "is_avl", "is_wb", "iter_shapes", "llrb_colorings", "log_prob",
+    "parse_source", "sample", "shape_entropy", "shape_to_tree",
+    "source_entropy_exhaustive", "subtree_size_entropy", "type_counts",
+    "type_entropy",
 ]

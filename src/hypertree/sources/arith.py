@@ -14,31 +14,11 @@ same intervals, so zero padding after the body is harmless.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-
 from ..bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode
 from ..trees import BinaryTree
 from .models import FixedSizeSource, SourceModel
 
 INF = float("inf")
-
-
-def _cum_rows(source: FixedSizeSource, cache: dict):
-    def row(s: int):
-        got = cache.get(s)
-        if got is None:
-            w, total = source.split_weights(s)
-            acc = []
-            run = 0
-            for x in w:
-                run += x
-                acc.append(run)
-            if run != total:
-                raise ValueError(f"{source.name}: split row {s} is not normalized")
-            got = cache[s] = (acc, total)
-        return got
-    return row
 
 
 def dfs_arith_encode(source: FixedSizeSource, t: BinaryTree) -> BitBuf:
@@ -53,7 +33,7 @@ def dfs_arith_encode(source: FixedSizeSource, t: BinaryTree) -> BitBuf:
     left, right = t.left, t.right
     for v in range(t.n, 0, -1):
         size[v] = 1 + size[left[v]] + size[right[v]]
-    row = _cum_rows(source, {})
+    cum_weights = source.cum_weights
     num = 0          # low = num/den
     width = 1        # P = width/den
     den = 1
@@ -61,7 +41,7 @@ def dfs_arith_encode(source: FixedSizeSource, t: BinaryTree) -> BitBuf:
         s = size[v]
         if s == 1:
             continue  # a single split, probability 1
-        acc, total = row(s)
+        acc, total = cum_weights(s)
         l = size[left[v]]
         w = acc[l] - (acc[l - 1] if l else 0)
         if w == 0:
@@ -87,7 +67,7 @@ def dfs_arith_decode(source: FixedSizeSource, buf: BitBuf) -> BinaryTree:
         return BinaryTree(0, [0], [0])
     V, j = cur.read_remaining_int()
     two_j = 1 << j
-    row = _cum_rows(source, {})
+    cum_weights = source.cum_weights
     num = 0
     width = 1
     den = 1
@@ -106,7 +86,7 @@ def dfs_arith_decode(source: FixedSizeSource, buf: BitBuf) -> BinaryTree:
                 right[parent] = v
         if s == 1:
             continue
-        acc, total = row(s)
+        acc, total = cum_weights(s)
         # pick the largest l with low + P*acc[l-1]/total <= V/2^j
         lhs_base = num * total
         target = V * den * total

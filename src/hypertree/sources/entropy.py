@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from ..trees import BinaryTree, OrdinalTree, annotate, fcns_full
 from . import counting
-from .models import FixedSizeSource, FixedHeightSource, SourceModel, UniformSubclass
+from .models import BstSource, FixedSizeSource, SourceModel, UniformSubclass
 
 INF = float("inf")
 
@@ -109,15 +109,7 @@ def shape_entropy(t: OrdinalTree, k: int) -> float:
 def subtree_size_entropy(t: BinaryTree) -> float:
     """Sum of lg|t[v]| over all nodes (the splay-tree potential); equals
     lg(1/P[t]) under the random-BST source."""
-    size = [0] * (t.n + 1)
-    total = 0.0
-    left, right = t.left, t.right
-    lg = math.log2
-    for v in range(t.n, 0, -1):
-        s = 1 + size[left[v]] + size[right[v]]
-        size[v] = s
-        total += lg(s)
-    return total
+    return BstSource().log_prob(t).log_prob_bits
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from ..trees import BinaryTree, OrdinalTree, annotate
 from . import counting
 
 INF = float("inf")
+
+
+class EmptyClassError(ValueError):
+    """The requested (family, target) combination contains no tree."""
 
 
 class EntropyReport:
@@ -151,8 +156,9 @@ class FixedSizeSource(SourceModel):
     """Binary fixed-size source: p(l, r) over subtree-size splits.
 
     ``split_weights(s)`` returns the exact integer weight row for a node of
-    subtree size s (weights w_l for l = 0..s-1 plus the total), which backs
-    sampling, validation, and the depth-first arithmetic code.
+    subtree size s (weights w_l for l = 0..s-1 plus the total), and
+    ``cum_weights(s)`` its running sums, which back sampling and the
+    depth-first arithmetic code.
     """
 
     kind = "binary"
@@ -160,12 +166,28 @@ class FixedSizeSource(SourceModel):
     def __init__(self, name: str):
         self.name = name
         self._row_cache: dict[int, tuple[list[int], int]] = {}
+        self._cum_cache: dict[int, tuple[list[int], int]] = {}
 
     def split_weights(self, s: int) -> tuple[list[int], int]:
         if s not in self._row_cache:
             row = self._weights(s)
             self._row_cache[s] = row
         return self._row_cache[s]
+
+    def cum_weights(self, s: int) -> tuple[list[int], int]:
+        """The running sums of ``split_weights(s)``'s row and its total, so
+        that a split l is drawn by bisecting a uniform draw below the total.
+        Raises ``EmptyClassError`` if the row does not sum to its total.
+        Only the running sums are cached, not the row, so a sampler or coder
+        keeps one table per size."""
+        got = self._cum_cache.get(s)
+        if got is None:
+            w, total = self._weights(s)
+            acc = list(accumulate(w))
+            if acc[-1] != total:
+                raise EmptyClassError(f"{self.name}: split row {s} is not normalized")
+            got = self._cum_cache[s] = (acc, total)
+        return got
 
     def split_prob(self, l: int, r: int) -> Fraction:
         w, total = self.split_weights(l + r + 1)
@@ -325,7 +347,6 @@ class FixedHeightSource(SourceModel):
     max(i, j) = h - 1."""
 
     kind = "binary"
-    takes_height = True
 
     def __init__(self, name):
         self.name = name
@@ -503,15 +524,6 @@ def empirical_type_process(t: BinaryTree, k: int) -> TypeProcess:
     tp = TypeProcess(k, tau)
     tp.name = f"empirical-type(k={k})"
     return tp
-
-
-def empirical_degree_dist(t: OrdinalTree) -> DegreeDist:
-    degs = [len(t.children[v]) for v in range(1, t.n + 1)]
-    top = max(degs)
-    counts = [0] * (top + 1)
-    for d in degs:
-        counts[d] += 1
-    return DegreeDist([Fraction(c, t.n) for c in counts])
 
 
 def parse_source(spec: str) -> SourceModel:

@@ -1,15 +1,20 @@
 """Exact samplers for every source family.
 
 Each sampler takes an explicit ``random.Random`` (or a seed); nothing global.
-Trees come back preorder-numbered. Every binary sampler but the uniform one
-(a whole-array cycle-lemma draw) is a split rule for ``BinaryTree.grow``: it
-maps a node's state, such as its subtree size or height, to the states of
-its children, drawing once per node in preorder. The exact ones use the
-recursive method (Flajolet, Zimmermann & Van Cutsem, TCS 1994): a split is
-drawn in proportion to the counts of the trees on either side, by ``_pick``
-for the AVL, weight-balanced and LLRB trees. Sampling is exact for the
-families with rational probabilities; the binomial family draws through
-numpy's binomial sampler in floating point.
+Trees come back preorder-numbered. Every top-down sampler, binary or
+ordinal, is a split rule for its kind's ``grow`` (``BinaryTree.grow`` or
+``OrdinalTree.grow``): it maps a node's state, such as its subtree size or
+height, to the states of its children, drawing once per node in preorder.
+The uniform binary sampler (a whole-array cycle-lemma draw) and the LRM
+sampler (uniform attachment, then one renumbering) are not top-down. The
+exact samplers use the recursive method (Flajolet, Zimmermann & Van Cutsem,
+TCS 1994): a split is drawn in proportion to the counts of the trees on
+either side, taken from the weights that the source states
+(``FixedSizeSource.cum_weights``, ``AvlByHeightSource.pair_weights``, the
+rows of ``WeightBalancedSource``); the size-conditioned AVL and LLRB
+samplers draw from their count tables by ``_pick``. Sampling is exact for
+the families with rational probabilities; the binomial family draws
+through numpy's binomial sampler in floating point.
 """
 
 from __future__ import annotations
@@ -18,18 +23,21 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
 
 from ..bits import BitBuf
-from ..trees import BinaryTree, OrdinalTree, bp_decode_binary
+from ..trees import (
+    BinaryTree, OrdinalTree, bp_decode_binary, bp_decode_ordinal, bp_encode_ordinal,
+)
 from . import counting
 from .models import (
     AlmostPathSource, AvlByHeightSource, BinomialSource, BstSource,
-    CompositionSource, DegreeDist, FixedHeightSource, FixedSizeSource,
+    CompositionSource, DegreeDist, EmptyClassError, FixedSizeSource,
     FringeBalancedSource, LrmSource, SourceModel, TypeProcess, UniformSource,
-    UniformSubclass,
+    UniformSubclass, WeightBalancedSource,
 )
 
 
@@ -46,10 +54,6 @@ def _rng(seed) -> random.Random:
     return random.Random(seed)
 
 
-class EmptyClassError(ValueError):
-    """The requested (family, target) combination contains no tree."""
-
-
 def sample(source: SourceModel, target: int, seed=0):
     """Draw one tree. ``target`` is the size for fixed-size families and
     subclasses, the height for fixed-height families, and the size cap for
@@ -62,7 +66,7 @@ def sample(source: SourceModel, target: int, seed=0):
     if isinstance(source, TypeProcess):
         return _sample_type_process(source, target, rng)
     if isinstance(source, AvlByHeightSource):
-        return _sample_avl_height(target, rng)
+        return _sample_avl_height(source, target, rng)
     if isinstance(source, DegreeDist):
         return _sample_degree(source, target, rng)
     if isinstance(source, CompositionSource):
@@ -112,17 +116,10 @@ def _sample_fixed_size(source: FixedSizeSource, n: int, rng) -> BinaryTree:
         p = float(source.alpha)
         draw = lambda s: int(gen.binomial(s - 1, p))
     else:
-        cums: dict[int, tuple[list[int], int]] = {}
+        cum_weights = source.cum_weights
 
         def draw(s):
-            got = cums.get(s)
-            if got is None:
-                w, total = source.split_weights(s)
-                acc = list(accumulate(w))
-                if acc[-1] != total:
-                    raise EmptyClassError(f"{source.name}: row {s} not normalized")
-                got = cums[s] = (acc, total)
-            acc, total = got
+            acc, total = cum_weights(s)
             return bisect_right(acc, rng.randrange(total))
 
     def split(s):
@@ -154,85 +151,67 @@ def _weights_from_fractions(rows) -> tuple[list[int], int]:
     return [int(f * den) for f in rows], den
 
 
-def _sample_type_process(tp: TypeProcess, cap: int, rng) -> BinaryTree:
+def _grow_capped(grow, cap: int, what: str):
+    """The first tree of at most ``cap`` nodes that ``grow(limit)`` gives,
+    retrying on None. Attempts share a budget of 100 * cap: an attempt
+    spends one unit per node it reaches, the node that passes the cap
+    included, so none reaches further than the budget left."""
     if cap < 1:
         raise EmptyClassError("size cap must be >= 1")
+    budget = 100 * cap
+    while budget > 0:
+        limit = min(cap, budget - 1)
+        t = grow(limit)
+        if t is not None:
+            return t
+        budget -= limit + 1
+    raise EmptyClassError(f"{what} failed to produce a tree within the size cap {cap}")
+
+
+def _sample_type_process(tp: TypeProcess, cap: int, rng) -> BinaryTree:
     k = tp.k
-    tables: dict[tuple, tuple[list[int], int]] = {}
+
+    @cache
+    def row(hist):
+        w, den = _weights_from_fractions(tp.row(hist))
+        return list(accumulate(w)), den
 
     def split(hist):
-        got = tables.get(hist)
-        if got is None:
-            w, den = _weights_from_fractions(tp.row(hist))
-            got = tables[hist] = (list(accumulate(w)), den)
-        acc, den = got
+        acc, den = row(hist)
         ty = bisect_right(acc, rng.randrange(den))
         child = (hist + (ty,))[-k:] if k else hist
         return (child if ty in (1, 2) else None), (child if ty in (2, 3) else None)
 
-    # an attempt spends one unit of budget per node it reaches, the node
-    # that passes the cap included
-    budget = 100 * cap
-    while budget > 0:
-        limit = min(cap, budget - 1)
-        t = BinaryTree.grow((1,) * k, split, cap=limit)
-        if t is not None:
-            return t
-        budget -= limit + 1
-    raise EmptyClassError(
-        f"type process failed to produce a tree within the size cap {cap}")
+    return _grow_capped(lambda limit: BinaryTree.grow((1,) * k, split, cap=limit),
+                        cap, "type process")
 
 
 def _sample_degree(src: DegreeDist, cap: int, rng) -> OrdinalTree:
-    if cap < 1:
-        raise EmptyClassError("size cap must be >= 1")
     w, den = _weights_from_fractions(src.d)
     acc = list(accumulate(w))
-    budget = 100 * cap
-    while budget > 0:
-        children: list[list[int]] = [[]]
-        cnt = 0
-        ok = True
-        stack = [0]
-        while stack:
-            parent = stack.pop()
-            cnt += 1
-            budget -= 1
-            if cnt > cap or budget <= 0:
-                ok = False
-                break
-            children.append([])
-            if parent:
-                children[parent].append(cnt)
-            deg = bisect_right(acc, rng.randrange(den))
-            for _ in range(deg):
-                stack.append(cnt)
-        if ok:
-            # nodes are numbered as they pop, which is preorder
-            return OrdinalTree(cnt, children)
-    raise EmptyClassError(
-        f"degree process failed to produce a tree within the size cap {cap}")
-
-
-def _renumber_preorder(t: OrdinalTree) -> OrdinalTree:
-    return OrdinalTree.from_links(t.root, t.children)
+    # every node has the same law, so a state is only a placeholder
+    split = lambda _: [0] * bisect_right(acc, rng.randrange(den))
+    return _grow_capped(lambda limit: OrdinalTree.grow(0, split, cap=limit),
+                        cap, "degree process")
 
 
 # ---------------------------------------------------------------------------
 # fixed-height AVL
 
-def _sample_avl_height(h: int, rng) -> BinaryTree:
+def _sample_avl_height(source: AvlByHeightSource, h: int, rng) -> BinaryTree:
     if h < 1:
         raise EmptyClassError("height must be >= 1")
-    a = counting.avl_height_counts(h)
+
+    @cache
+    def row(hh):  # the running sums of the source's pair weights
+        pairs, total = source.pair_weights(hh)
+        return list(accumulate(w for _, _, w in pairs)), total, [p[:2] for p in pairs]
 
     def split(hh):
         if hh == 1:
             return None, None
-        w1 = a[hh - 2] * a[hh - 1]
-        w2 = a[hh - 1] * a[hh - 1]
-        hl, hr = _pick(rng, [(w1, (hh - 2, hh - 1)), (w2, (hh - 1, hh - 1)),
-                             (w1, (hh - 1, hh - 2))])
+        acc, total, pairs = row(hh)
+        hl, hr = pairs[bisect_right(acc, rng.randrange(total))]
         return hl or None, hr or None
 
     return BinaryTree.grow(h, split)
@@ -244,36 +223,20 @@ def _sample_avl_height(h: int, rng) -> BinaryTree:
 def _sample_composition(n: int, rng) -> OrdinalTree:
     if n < 1:
         raise EmptyClassError("size must be >= 1")
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    cnt = 0
-    stack = [(n, 0)]
-    while stack:
-        s, parent = stack.pop()
-        cnt += 1
-        v = cnt
-        if parent:
-            children[parent].append(v)
-        q = s - 1
-        if q == 0:
-            continue
-        # uniform composition of q: each of the q-1 gaps holds a barrier
-        # independently with probability 1/2
-        bars = rng.getrandbits(q - 1) if q > 1 else 0
-        parts = []
-        run = 1
-        for i in range(q - 1):
-            if (bars >> i) & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        for p in reversed(parts):
-            stack.append((p, v))
-    # stack order produced children right-to-left; fix by reversing
-    for v in range(1, n + 1):
-        children[v].reverse()
-    return _renumber_preorder(OrdinalTree(n, children))
+
+    def split(s):
+        # a uniform composition of s - 1 into parts: each of its s - 2 gaps
+        # holds a barrier where bit i of one draw, for gap i, is set
+        if s < 3:
+            return [1] if s == 2 else ()
+        gaps = format(rng.getrandbits(s - 2), f"0{s - 2}b")[::-1]
+        return [len(run) + 1 for run in gaps.split("1")]
+
+    # a node's parts are drawn first to last and listed last to first: the
+    # tree is the mirror of the one grown, whose BP string is the grown
+    # one's reversed with its parentheses swapped
+    bits = bp_encode_ordinal(OrdinalTree.grow(n, split)).to_array()
+    return bp_decode_ordinal(BitBuf.from_array(1 - bits[::-1]))
 
 
 def _sample_lrm(n: int, rng) -> OrdinalTree:
@@ -285,7 +248,7 @@ def _sample_lrm(n: int, rng) -> OrdinalTree:
     for v in range(2, n + 1):
         p = rng.randrange(1, v)
         children[p].insert(0, v)
-    return _renumber_preorder(OrdinalTree(n, children))
+    return OrdinalTree.from_links(1, children)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +293,15 @@ def _sample_avl_size(n: int, rng) -> BinaryTree:
 
 
 def _sample_wb(alpha, n: int, rng) -> BinaryTree:
-    counts = counting.wb_counts(alpha, n)
-    if counts[n] == 0:
+    cum_weights = WeightBalancedSource(alpha).cum_weights
+    if not cum_weights(n)[1]:
         raise EmptyClassError(f"no {alpha}-weight-balanced tree of size {n}")
 
     def split(k):
         if k == 1:
             return None, None
-        l = _pick(rng, [(counts[i] * counts[k - 1 - i], i) for i in range(k)
-                        if counting.wb_split_ok(alpha, i, k - 1 - i)])
+        acc, total = cum_weights(k)
+        l = bisect_right(acc, rng.randrange(total))
         r = k - 1 - l
         return l or None, r or None
 

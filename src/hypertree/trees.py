@@ -8,7 +8,7 @@ sentinel. All traversals are iterative so degenerate trees of any size work.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -100,21 +100,39 @@ class OrdinalTree:
         return f"OrdinalTree(n={self.n})"
 
     @staticmethod
-    def from_links(root: int, children: dict | list) -> "OrdinalTree":
-        if not root:
-            return OrdinalTree(0, [[]])
-        order = []
-        stack = [root]
+    def grow(root, split, cap: int | None = None) -> "OrdinalTree | None":
+        """Build a tree top-down from the state of its root: ``split(state)``
+        returns the states of the node's children, in order, as a list or
+        tuple. As in ``BinaryTree.grow``, ``split`` runs once per node, in
+        preorder; ``root=None`` gives the empty tree, and past ``cap`` nodes
+        the result is None without ``split`` running on the node that passes
+        it."""
+        children: list[list[int]] = [[]]
+        if root is None:
+            return OrdinalTree(0, children)
+        limit = cap if cap is not None else float("inf")
+        n = 0
+        # (state, the parent's children list); the root lands in the unused
+        # children[0], reset below
+        stack = [(root, children[0])]
         while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(children[v]))
-        idx = {v: i + 1 for i, v in enumerate(order)}
-        n = len(order)
-        ch: list[list[int]] = [[] for _ in range(n + 1)]
-        for v in order:
-            ch[idx[v]] = [idx[c] for c in children[v]]
-        return OrdinalTree(n, ch)
+            state, siblings = stack.pop()
+            n += 1
+            if n > limit:
+                return None
+            siblings.append(n)
+            kids: list[int] = []
+            children.append(kids)
+            states = split(state)
+            if states:
+                stack.extend(zip(reversed(states), repeat(kids)))
+        children[0] = []
+        return OrdinalTree(n, children)
+
+    @staticmethod
+    def from_links(root: int, children: dict | list) -> "OrdinalTree":
+        """Renumber an arbitrary-id children structure into preorder form."""
+        return OrdinalTree.grow(root or None, children.__getitem__)
 
 
 Forest = list  # list[OrdinalTree]
@@ -325,20 +343,6 @@ class TreeAnnotation:
         self.node_type: list[int] | None = None
         self.degree: list[int] | None = None
         self.inorder_rank: list[int] | None = None
-
-
-LEAF, LEFT_UNARY, BINARY, RIGHT_UNARY = 0, 1, 2, 3
-
-
-def node_type(t: BinaryTree, v: int) -> int:
-    l, r = t.left[v], t.right[v]
-    if l and r:
-        return BINARY
-    if l:
-        return LEFT_UNARY
-    if r:
-        return RIGHT_UNARY
-    return LEAF
 
 
 def annotate(t: BinaryTree | OrdinalTree) -> TreeAnnotation:

@@ -449,6 +449,22 @@ def test_dfs_arith_rejects_zero_probability():
         S.dfs_arith_encode(ap, bal3)
 
 
+def test_unnormalized_row_raises():
+    # a split row that does not sum to its total stops both users of
+    # cum_weights, on every call
+    class Skewed(S.FixedSizeSource):
+        def _weights(self, s):
+            return [1] * s, s + (s >= 3)
+
+    src = Skewed("skewed")
+    for _ in range(2):
+        with pytest.raises(S.EmptyClassError):
+            S.sample(src, 5, 1)
+        with pytest.raises(ValueError):
+            S.dfs_arith_encode(src, left_chain(5))
+    assert S.sample(src, 2, 1).n == 2
+
+
 def test_dfs_code_length_examples():
     assert S.dfs_code_length(BST, single_node()) == 5.0
     v = S.dfs_code_length(BST, left_chain(3))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import FIGURE_BP, FIGURE_BP_WRAPPED, figure_tree, random_bst
+from hypertree import sources as S
 from hypertree.bits import BitBuf, MalformedStream
 from hypertree.trees import (
     BinaryTree, OrdinalTree, annotate, bp_decode_binary, bp_decode_ordinal,
@@ -86,6 +87,47 @@ def test_grow_cap():
     assert seen == list(range(1, t.n))
     assert BinaryTree.grow(t.root, links, cap=0) is None
     assert BinaryTree.grow(1, lambda v: (None, None), cap=1) == single_node()
+
+
+def test_ordinal_grow_empty_root():
+    def split(state):
+        raise AssertionError("split ran on the empty tree")
+
+    assert OrdinalTree.grow(None, split) == OrdinalTree(0, [[]])
+    assert OrdinalTree.grow(None, split, cap=0) == OrdinalTree(0, [[]])
+
+
+def test_ordinal_grow_splits_in_preorder(rng):
+    trees = [ordinal_star(6), ordinal_path(7)]
+    for src in (S.LrmSource(), S.CompositionSource()):
+        trees += [S.sample(src, rng.randint(1, 80), rng) for _ in range(15)]
+    for t in trees:
+        seen = []
+
+        def split(v):
+            seen.append(v)
+            return t.children[v]
+
+        assert OrdinalTree.grow(t.root, split) == t
+        assert seen == list(range(1, t.n + 1))
+    # any state but None is a node, 0 and () included
+    assert OrdinalTree.grow(0, lambda s: [(), ()] if s == 0 else []) == ordinal_star(3)
+
+
+def test_ordinal_grow_cap():
+    t = S.sample(S.LrmSource(), 30, 4)
+    links = lambda v: t.children[v]
+    assert OrdinalTree.grow(t.root, links, cap=t.n) == t
+    seen = []
+
+    def split(v):
+        seen.append(v)
+        return links(v)
+
+    assert OrdinalTree.grow(t.root, split, cap=t.n - 1) is None
+    assert seen == list(range(1, t.n))
+    assert OrdinalTree.grow(t.root, links, cap=0) is None
+    assert OrdinalTree.grow(1, lambda v: [], cap=1) == ordinal_star(1)
 
 
 def test_bp_ordinal_examples():
