@@ -55,7 +55,7 @@ from itertools import chain
 import numpy as np
 
 from .bits import BitBuf
-from .trees import BinaryTree, OrdinalTree, annotate, bp_decode_binary, bp_encode_binary
+from .trees import BinaryTree, OrdinalTree, bp_decode_binary, bp_encode_binary
 
 # parent edge types of ordinal micro trees, in the order (i)..(v)
 EDGE_NEW_LEFT, EDGE_CONT_LEFT, EDGE_NEW_RIGHT, EDGE_CONT_RIGHT, EDGE_EXTERNAL = range(5)
@@ -158,22 +158,26 @@ class ShapeTables:
         # is the right child of the last node on the previous one's right
         # spine: a node keeps its links inside its shape, its subtree up to
         # the shape's end, and its inorder rank less the shapes before.
-        whole = bp_decode_binary(BitBuf("".join(bps)))
+        joined = BitBuf("".join(bps))
+        lg, rg, _, sg = _binary_links(bp_decode_binary(joined))
+        left_size = sg[lg][1:]
+        lg, rg, sg = lg[1:], rg[1:], sg[1:]
         k = len(bps)
         self.mu = mu = np.array([len(s) // 2 for s in bps], dtype=np.int64)
         W = int(mu.max()) + 1
         shape = np.repeat(np.arange(k), mu)
         end = np.cumsum(mu)[shape]
         off = end - mu[shape]
-        g = np.arange(1, whole.n + 1)
+        g = np.arange(1, len(shape) + 1)
         x = g - off
-        ann = annotate(whole)
+        # node g is the g-th '('; its ')' follows its left subtree's parens,
+        # and the ')'s up to that one count its inorder rank
+        opens = np.flatnonzero(joined.to_array())
         left, right, size, inorder = (np.zeros((k, W), dtype=np.int64) for _ in range(4))
-        lg, rg = np.asarray(whole.left[1:]), np.asarray(whole.right[1:])
         left[shape, x] = np.where(lg != 0, lg - off, 0)
         right[shape, x] = np.where((rg != 0) & (rg <= end), rg - off, 0)
-        size[shape, x] = np.minimum(ann.subtree_size[1:], end + 1 - g)
-        inorder[shape, x] = np.asarray(ann.inorder_rank[1:]) - off
+        size[shape, x] = np.minimum(sg, end + 1 - g)
+        inorder[shape, x] = opens + left_size + 2 - g - off
         rows = np.arange(k)[:, None]
         ids = np.arange(W)
         parent = np.zeros((k, W), dtype=np.int64)

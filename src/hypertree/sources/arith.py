@@ -1,10 +1,14 @@
 """Depth-first arithmetic code for fixed-size sources.
 
 The coder is exact: the tree's probability interval [low, low+P) is tracked
-with big integers (low = num/den, P = width/den, den = product of the split
-row totals), and the emitted body is the shortest dyadic interval inside it,
-``ceil(lg(1/P)) + 1`` bits for non-dyadic P. Prefixing gamma(n+1) makes the
-code self-delimiting, and the body never exceeds lg(1/P[t]) + 2 bits, so
+with big integers (low = num/den, P = width/den), divided by their gcd
+each time den doubles in length. Unreduced, den would be the product of
+the split row totals, which under the uniform source grows far past
+1/P = C_n (the Catalan number, to which the splits' probabilities
+telescope). The emitted body is the shortest dyadic interval inside
+[low, low+P), ``ceil(lg(1/P)) + 1`` bits for non-dyadic P. Prefixing
+gamma(n+1) makes the code self-delimiting, and the body never exceeds
+lg(1/P[t]) + 2 bits, so
 
     |code(t)| <= lg(1/P[t]) + 2*floor(lg(|t|+1)) + 3.
 
@@ -14,11 +18,27 @@ same intervals, so zero padding after the body is harmless.
 
 from __future__ import annotations
 
+import math
+
 from ..bits import BitBuf, BitCursor, MalformedStream, gamma_decode, gamma_encode
 from ..trees import BinaryTree
 from .models import FixedSizeSource, SourceModel
 
 INF = float("inf")
+
+
+def _lowest_terms(num: int, width: int, den: int) -> tuple[int, int, int, int]:
+    """``num``, ``width`` and ``den`` divided by their greatest common
+    divisor, which leaves low and P, and so every emitted bit, as they
+    are; then the bit length of ``den`` past which to reduce again. A gcd
+    costs time quadratic in the bit length, so it runs only once ``den``
+    has doubled: under sources whose splits share few factors with their
+    totals (binomial ones) a gcd at every split would cost more than it
+    saves. ``width`` goes first: where it is 1, as under the BST source,
+    ``math.gcd`` stops at once."""
+    g = math.gcd(width, den, num)
+    num, width, den = num // g, width // g, den // g
+    return num, width, den, 2 * den.bit_length() + 64
 
 
 def dfs_arith_encode(source: FixedSizeSource, t: BinaryTree) -> BitBuf:
@@ -37,6 +57,7 @@ def dfs_arith_encode(source: FixedSizeSource, t: BinaryTree) -> BitBuf:
     num = 0          # low = num/den
     width = 1        # P = width/den
     den = 1
+    reduce_past = 64
     for v in range(1, t.n + 1):
         s = size[v]
         if s == 1:
@@ -49,6 +70,8 @@ def dfs_arith_encode(source: FixedSizeSource, t: BinaryTree) -> BitBuf:
         num = num * total + width * (acc[l] - w)
         width *= w
         den *= total
+        if den.bit_length() > reduce_past:
+            num, width, den, reduce_past = _lowest_terms(num, width, den)
     if width == den:
         return buf  # P = 1: the empty dyadic prefix [0,1) suffices
     # smallest L with 2^L >= 2*den/width guarantees a dyadic interval inside
@@ -71,6 +94,7 @@ def dfs_arith_decode(source: FixedSizeSource, buf: BitBuf) -> BinaryTree:
     num = 0
     width = 1
     den = 1
+    reduce_past = 64
     left = [0] * (n + 1)
     right = [0] * (n + 1)
     cnt = 0
@@ -104,6 +128,8 @@ def dfs_arith_decode(source: FixedSizeSource, buf: BitBuf) -> BinaryTree:
         num = lhs_base + width * (acc[l] - w)
         width *= w
         den *= total
+        if den.bit_length() > reduce_past:
+            num, width, den, reduce_past = _lowest_terms(num, width, den)
         r = s - 1 - l
         if r:
             stack.append((r, v, 1))

@@ -1,8 +1,11 @@
 """Exact samplers for every source family.
 
-Each sampler takes an explicit ``random.Random`` (or a seed); nothing global.
-Trees come back preorder-numbered. Every top-down sampler, binary or
-ordinal, is a split rule for its kind's ``grow`` (``BinaryTree.grow`` or
+Each sampler takes an explicit ``random.Random`` (or a seed, which stands
+for ``random.Random(seed)``); nothing global. The uniform and binomial
+samplers draw through a numpy PCG64 generator seeded with one
+``getrandbits(64)`` of it, the others from it directly. Trees come back
+preorder-numbered. Every top-down sampler, binary or ordinal, is a split
+rule for its kind's ``grow`` (``BinaryTree.grow`` or
 ``OrdinalTree.grow``): it maps a node's state, such as its subtree size or
 height, to the states of its children, drawing once per node in preorder.
 The uniform binary sampler (a whole-array cycle-lemma draw) and the LRM
@@ -133,14 +136,17 @@ def _sample_fixed_size(source: FixedSizeSource, n: int, rng) -> BinaryTree:
 def _sample_uniform(n: int, rng) -> BinaryTree:
     """Uniform binary tree via a uniform Dyck word (cycle lemma): shuffle
     n opens and n+1 closes, rotate to just after the first prefix-sum
-    minimum, drop the final close."""
+    minimum, drop the final close. The shuffle is numpy's, by a PCG64
+    generator seeded with one ``rng.getrandbits(64)``, as in the binomial
+    sampler."""
     if n < 1:
         raise EmptyClassError("size must be >= 1")
-    arr = [1] * n + [0] * (n + 1)
-    rng.shuffle(arr)
-    bits = np.array(arr, dtype=np.uint8)
+    bits = np.zeros(2 * n + 1, dtype=np.uint8)
+    bits[:n] = 1
+    np.random.Generator(np.random.PCG64(rng.getrandbits(64))).shuffle(bits)
     first_min = int(np.argmin(np.cumsum(2 * bits.astype(np.int64) - 1)))
-    return bp_decode_binary(BitBuf.from_array(np.roll(bits, -first_min - 1)[:-1]))
+    return bp_decode_binary(BitBuf.from_array(
+        np.concatenate((bits[first_min + 1:], bits[:first_min]))))
 
 
 # ---------------------------------------------------------------------------

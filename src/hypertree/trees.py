@@ -175,6 +175,15 @@ def _bp_opens(up: np.ndarray, depth: np.ndarray) -> BitBuf:
     return BitBuf.from_array(bits)
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for nonnegative integer keys.
+    Keys below 2^16 are sorted as uint16, for which numpy's stable sort is
+    a radix sort, several times faster than its merge sort of int64."""
+    if len(keys) and keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def bp_decode_binary(buf: BitBuf) -> BinaryTree:
     """Inverse of bp_encode_binary; rejects every string that is not
     balanced (odd length, a prefix with more ')' than '(', or unequal
@@ -196,7 +205,7 @@ def bp_decode_binary(buf: BitBuf) -> BinaryTree:
     excess = np.cumsum(2 * bits - 1)
     if excess.min() < 0 or excess[-1]:
         raise MalformedStream("BP string not balanced")
-    order = np.argsort(excess - bits, kind="stable")
+    order = _stable_order(excess - bits)
     opens, closes = order[0::2], order[1::2]
     nxt = np.append(bits[1:], 0)
     v = (opens + 1 + excess[opens]) >> 1
@@ -231,7 +240,7 @@ def binary_from_child_flags(has_left: np.ndarray, has_right: np.ndarray) -> np.n
         raise MalformedStream("tree closes before its last node")
     if excess[m]:
         raise MalformedStream("tree does not close at its last node")
-    order = np.argsort(excess, kind="stable")
+    order = _stable_order(excess)
     after = np.empty(m + 1, dtype=np.int64)
     after[order[:-1]] = order[1:]
     child = np.zeros((2, m + 1), dtype=np.int64)
@@ -285,7 +294,7 @@ def bp_decode_ordinal(buf: BitBuf, forest: bool = False):
     roots = np.flatnonzero(level == 0) + 1
     if not forest and len(roots) != 1:
         raise MalformedStream(f"expected a single tree, got {len(roots)}")
-    by_level = np.argsort(level, kind="stable")
+    by_level = _stable_order(level)
     keys = level[by_level] * nbits + opens[by_level]
     parent = np.zeros(n + 1, np.int64)
     inner = level > 0

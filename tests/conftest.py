@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -79,6 +80,19 @@ def induced_shapes(t, cov) -> list:
             kids = [[loc[c] for c in t.children[g] if c in loc] for g in members[a:b]]
             out.append(OrdinalTree(b - a, [[]] + kids))
     return out
+
+
+def shuffled_uniform(n: int, seed) -> BinaryTree:
+    """A uniform binary tree of n nodes, drawn as ``sources.sample`` drew
+    them before it shuffled with numpy: ``random.shuffle`` of n opens and
+    n + 1 closes, rotated to just after the first prefix-sum minimum. Tests
+    that pin bytes of uniform trees draw them here, so that their hashes
+    follow the format and not the sampler."""
+    arr = [1] * n + [0] * (n + 1)
+    random.Random(seed).shuffle(arr)
+    level = list(accumulate(2 * b - 1 for b in arr))
+    first_min = level.index(min(level))
+    return bp_decode_binary(BitBuf("".join(map(str, arr[first_min + 1:] + arr[:first_min]))))
 
 
 def flipped_bst_blob() -> bytes:

@@ -13,8 +13,9 @@ from hypertree.cover import (
 from hypertree.hypercodec import hs_encode_binary, parse_binary_blob
 from hypertree.rmq import cartesian_tree
 from hypertree.sources.counting import iter_shapes, shape_to_tree
+from hypertree.bits import BitBuf
 from hypertree.trees import (
-    BinaryTree, OrdinalTree, annotate, bp_encode_binary, left_chain,
+    BinaryTree, OrdinalTree, annotate, bp_decode_binary, bp_encode_binary, left_chain,
     ordinal_path, ordinal_star, right_chain, single_node,
 )
 from hypertree import sources as S
@@ -191,33 +192,59 @@ def test_ordinal_cover_random(rng):
         assert micro_shapes(cov) == induced_shapes(t, cov)
 
 
-def test_shape_tables_match_annotate(rng):
-    # shapes of mixed sizes in one table, against the per-node loops of
-    # annotate and a scan of the null pointers in inorder
-    shapes = [left_chain(7), BinaryTree(1, [0, 0], [0, 0])]
-    shapes += [random_bst(rng, rng.randint(1, 12)) for _ in range(40)]
-    tab = ShapeTables([bp_encode_binary(sh).to_paren() for sh in shapes])
+def shape_tables_by_annotate(shapes: list) -> dict:
+    """The arrays of ``ShapeTables`` built shape by shape from the per-node
+    loops of ``annotate`` and a scan of the null pointers in inorder: the
+    reference for its whole-string computation."""
+    k, W = len(shapes), max(sh.n for sh in shapes) + 1
+    ref = {name: np.zeros((k, W), dtype=np.int64) for name in (
+        "left", "right", "parent", "size", "inorder", "local_of_inorder",
+        "null_node", "null_side", "null_thr")}
     for s, sh in enumerate(shapes):
         ann = annotate(sh)
         mu = sh.n
-        assert tab.mu[s] == mu
-        assert tab.size[s, :mu + 1].tolist() == ann.subtree_size
-        assert tab.inorder[s, 1:mu + 1].tolist() == ann.inorder_rank[1:]
-        assert not tab.size[s, mu + 1:].any() and not tab.inorder[s, mu + 1:].any()
-        for x in range(1, mu + 1):
-            assert tab.local_of_inorder[s, ann.inorder_rank[x]] == x
-            for c in (sh.left[x], sh.right[x]):
-                if c:
-                    assert tab.parent[s, c] == x
+        ref["left"][s, :mu + 1] = sh.left
+        ref["right"][s, :mu + 1] = sh.right
+        ref["size"][s, :mu + 1] = ann.subtree_size
+        ref["inorder"][s, 1:mu + 1] = ann.inorder_rank[1:]
         nulls = []   # (node, side, first preorder id after it), in inorder
         for x in sorted(range(1, mu + 1), key=lambda x: ann.inorder_rank[x]):
+            ref["local_of_inorder"][s, ann.inorder_rank[x]] = x
+            for c in (sh.left[x], sh.right[x]):
+                if c:
+                    ref["parent"][s, c] = x
             if not sh.left[x]:
                 nulls.append((x, 0, x + 1))
             if not sh.right[x]:
                 nulls.append((x, 1, x + ann.subtree_size[x]))
         assert len(nulls) == mu + 1
-        assert [tuple(int(a[s, r]) for a in (tab.null_node, tab.null_side, tab.null_thr))
-                for r in range(mu + 1)] == nulls
+        for r, (x, side, thr) in enumerate(nulls):
+            ref["null_node"][s, r], ref["null_side"][s, r], ref["null_thr"][s, r] = x, side, thr
+    return ref
+
+
+def assert_shape_tables_match_annotate(shapes: list) -> None:
+    tab = ShapeTables([bp_encode_binary(sh).to_paren() for sh in shapes])
+    assert tab.mu.tolist() == [sh.n for sh in shapes]
+    for name, want in shape_tables_by_annotate(shapes).items():
+        assert np.array_equal(getattr(tab, name), want), name
+
+
+def test_shape_tables_match_annotate(rng):
+    # shapes of mixed sizes in one table
+    shapes = [left_chain(7), BinaryTree(1, [0, 0], [0, 0])]
+    shapes += [random_bst(rng, rng.randint(1, 12)) for _ in range(40)]
+    assert_shape_tables_match_annotate(shapes)
+
+
+@pytest.mark.parametrize("B", [1, 3, 6, 32])
+def test_shape_tables_of_covers_match_annotate(B):
+    # the distinct shapes of seeded covers, of up to about 60 nodes at
+    # B = 32
+    for src in (S.BstSource(), S.UniformSource()):
+        t = S.sample(src, 3000, S.derive_seed("shape-tables", src.name, B))
+        shapes = [bp_decode_binary(BitBuf(bp)) for bp in decompose_binary(t, B).shape_bps]
+        assert_shape_tables_match_annotate(shapes)
 
 
 def placement_by_jumping(layout) -> dict:

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import flipped_bst_blob, induced_shapes, random_bst
+from conftest import flipped_bst_blob, induced_shapes, random_bst, shuffled_uniform
 from hypertree.bits import BitBuf, BitCursor, MalformedStream, gamma_decode
 from hypertree.cover import decompose_binary, decompose_ordinal
 from hypertree import hypercodec
@@ -585,9 +585,11 @@ def test_binary_format_pinned():
 
     blobs = []
     for spec, size in PINNED_SOURCES:
-        t = S.sample(S.parse_source(spec), size, S.derive_seed("pin", spec, size, 0))
+        seed = S.derive_seed("pin", spec, size, 0)
+        t = (shuffled_uniform(size, seed) if spec == "uniform"
+             else S.sample(S.parse_source(spec), size, seed))
         blobs += [hs_encode_binary(t, B) for B in (None, 1, 3, 6)]
-    blobs.append(hs_encode_binary(S.sample(S.UniformSource(), 30000, 11)))
+    blobs.append(hs_encode_binary(shuffled_uniform(30000, 11)))
     # the RMQ blobs were pinned at B = 6, rmq_build's default until it took
     # the codec's
     rng = random.Random(8)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chisquare
 
-from conftest import figure_tree, micro_shapes, random_bst
+from conftest import figure_tree, micro_shapes, random_bst, shuffled_uniform
 from hypertree.cover import decompose_binary, decompose_ordinal
 from hypertree.trees import (
     BinaryTree, OrdinalTree, bp_encode_binary, left_chain, ordinal_path,
@@ -223,6 +223,16 @@ def test_sampler_uniform_n4():
     assert _chi_ok(counts, {k: 1 / 14 for k in counts}, total)
 
 
+def test_sampler_uniform_n5():
+    counts = collections.Counter()
+    total = 21000
+    for i in range(total):
+        t = S.sample(UNI, 5, S.derive_seed("uni5", i))
+        counts[bp_encode_binary(t).to01()] += 1
+    assert len(counts) == 42
+    assert _chi_ok(counts, {k: 1 / 42 for k in counts}, total)
+
+
 def test_sampler_avl_height2():
     counts = collections.Counter()
     total = 15000
@@ -272,19 +282,22 @@ def test_sampler_unreachable_target():
 
 
 def test_sampler_deterministic_per_seed():
-    a = S.sample(BST, 100, 42)
-    b = S.sample(BST, 100, 42)
-    c = S.sample(BST, 100, 43)
-    assert a == b and a != c
+    for src in (BST, UNI, S.BinomialSource(Fraction(1, 3))):
+        a = S.sample(src, 100, 42)
+        b = S.sample(src, 100, 42)
+        c = S.sample(src, 100, 43)
+        assert a == b and a != c
+        # a seed stands for the random.Random built from it
+        assert S.sample(src, 100, random.Random(42)) == a
 
 
-SAMPLES_PINNED_SHA256 = "52ad7af78657b2138cb3c5982037b92eaf26b688401a34a3898aa9446abd165e"
+SAMPLES_PINNED_SHA256 = "94d7bf986cec94a5b22bf113d65175af1c6659d61372f05b566744c0add7f6aa"
 
 
 def test_samples_pinned():
     # the BP string of every seeded sample, as the samplers drew them when
-    # the binary ones became split rules for BinaryTree.grow; a failed draw
-    # (EmptyClassError) is pinned too
+    # the binary ones became split rules for BinaryTree.grow and the uniform
+    # one shuffled with numpy; a failed draw (EmptyClassError) is pinned too
     import hashlib
 
     from hypertree.trees import bp_encode_ordinal
@@ -440,6 +453,38 @@ def test_dfs_arith_roundtrip_and_bound(rng):
         assert S.dfs_arith_decode(src, code) == t
         bound = src.log_prob(t).log_prob_bits + 2 * ((n + 1).bit_length() - 1) + 3
         assert len(code) <= bound + 1e-9
+
+
+# the codes of seeded uniform, BST and binomial trees, as the coder wrote
+# them when it carried its interval unreduced; the uniform trees come from
+# shuffled_uniform, so the hash follows the coder and not the sampler
+ARITH_PINNED_SHA256 = "a92361fa4825896f92203cc488d89ba55f91ed9f3acab2e811b503801f82b544"
+
+
+def test_dfs_arith_pinned():
+    import hashlib
+
+    h = hashlib.sha256()
+    for name, src in (("uniform", UNI), ("bst", BST),
+                      ("binomial:1/3", S.BinomialSource(Fraction(1, 3)))):
+        for n in (1, 2, 3, 7, 40, 300, 1024):
+            for rep in range(3):
+                seed = S.derive_seed("arith-pin", name, n, rep)
+                t = shuffled_uniform(n, seed) if src is UNI else S.sample(src, n, seed)
+                code = S.dfs_arith_encode(src, t)
+                assert S.dfs_arith_decode(src, code) == t
+                h.update(f"{name}|{n}|{rep}|{code.to01()}\n".encode())
+    assert h.hexdigest() == ARITH_PINNED_SHA256
+
+
+def test_dfs_arith_uniform_4096_roundtrip():
+    # lg C_n is about 8,170 bits here; the coder keeps its interval within
+    # a small factor of that by reducing it, where carried unreduced its
+    # denominator grew past 800,000 bits and the decode took half a minute
+    t = S.sample(UNI, 2 ** 12, 5)
+    code = S.dfs_arith_encode(UNI, t)
+    assert S.dfs_arith_decode(UNI, code) == t
+    assert len(code) <= UNI.log_prob(t).log_prob_bits + 2 * 12 + 3
 
 
 def test_dfs_arith_rejects_zero_probability():

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import FIGURE_BP, FIGURE_BP_WRAPPED, figure_tree, random_bst
 from hypertree import sources as S
 from hypertree.bits import BitBuf, MalformedStream
+from hypertree import trees
 from hypertree.trees import (
-    BinaryTree, OrdinalTree, annotate, bp_decode_binary, bp_decode_ordinal,
+    BinaryTree, OrdinalTree, annotate, binary_from_child_flags, bp_decode_binary, bp_decode_ordinal,
     bp_encode_binary, bp_encode_ordinal, fcns, fcns_full, fcns_inverse,
     left_chain, ordinal_path, ordinal_star, single_node,
 )
@@ -41,6 +43,44 @@ def test_bp_binary_roundtrip(rng):
         buf = bp_encode_binary(t)
         assert len(buf) == 2 * t.n
         assert bp_decode_binary(buf) == t
+
+
+def left_comb(k: int) -> BinaryTree:
+    """A left chain of k nodes, each with a right leaf. The leaves follow
+    the chain in preorder, so about k child slots stand open after it."""
+    return BinaryTree.grow(k, lambda d: (d - 1 or None, 0) if d else (None, None))
+
+
+def test_stable_order_matches_int64_argsort(monkeypatch):
+    # The BP decoders and binary_from_child_flags sort levels by radix when
+    # they are below 2^16 (the uniform tree) and as they are past it (the
+    # chain and the comb). Both must give what the stable int64 argsort
+    # gives, which stands in for the helper in the second pass.
+    def decoded(t):
+        bp = bp_encode_binary(t)
+        flags = (np.asarray(t.left[1:]) != 0, np.asarray(t.right[1:]) != 0)
+        return (bp_decode_binary(bp), binary_from_child_flags(*flags).tolist(),
+                bp_decode_ordinal(bp, forest=True))
+
+    cases = [S.sample(S.UniformSource(), 2 ** 17, 7), left_chain(70_000), left_comb(70_000)]
+    got = [decoded(t) for t in cases]
+    for t, (b, child, _) in zip(cases, got):
+        assert b == t and child == [t.left, t.right]
+    top_keys = []
+    stable_order = trees._stable_order
+
+    def reference(keys):
+        want = np.argsort(keys.astype(np.int64), kind="stable")
+        assert np.array_equal(stable_order(keys), want)
+        top_keys.append(int(keys.max()))
+        return want
+
+    monkeypatch.setattr(trees, "_stable_order", reference)
+    assert [decoded(t) for t in cases] == got
+    # each of the three functions sorts once per tree, and on both paths
+    assert len(top_keys) == 3 * len(cases)
+    for keys in (top_keys[0::3], top_keys[1::3], top_keys[2::3]):
+        assert min(keys) < 1 << 16 <= max(keys)
 
 
 def test_bp_binary_prefix_validity():
