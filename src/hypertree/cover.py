@@ -1,18 +1,16 @@
-"""Farzan-Munro tree covering: decomposition of binary and ordinal trees into
-micro trees with bounded size and limited connections, the contracted top
-tier, and an executable validator for the structural guarantees.
+"""Farzan-Munro tree covering of binary trees: decomposition into micro
+trees with bounded size and limited connections, the contracted top tier,
+and an executable validator for the structural guarantees. An ordinal tree
+is covered through its first-child next-sibling binary tree (``fcns``).
 
 Sealing rule: a component is declared permanent the moment its size reaches
 ``B`` during greedy packing (checked after a node merges its children's
-active components). Children are processed left to right. Ordinal micro trees
-may share nodes, but only as the common root of every component containing
-them; a node at which a seal happened never travels upward, which is what
-keeps that invariant.
+active components), children processed left to right.
 
-Both covers are arrays, after Farzan & Munro's statement of the cover as
-arrays of micro-tree records, with the same names (``_Cover``).
+The cover is arrays, after Farzan & Munro's statement of the cover as
+arrays of micro-tree records, with the same names (``BinaryCover``).
 
-The binary cover applies the sealing rule with whole-array steps, as a
+The cover applies the sealing rule with whole-array steps, as a
 segmentation of heavy paths. A node is heavy when its subtree has at least
 ``B`` nodes. A light subtree never reaches ``B``, so it is never sealed and
 ends in the component of its nearest heavy ancestor. A heavy node with two
@@ -30,8 +28,7 @@ pointer doubling), and each node's component is its nearest component root
 (a segment's top, a branching node, a sealed subtree or node 1), found by
 pointer jumping. Micro trees are numbered by the preorder of their roots
 (the top tier's preorder), and each gets a shape id from the bytes of its
-(size, local left children, local right children) row. An ordinal micro
-tree's row is its size and the local parent of each node.
+(size, local left children, local right children) row.
 
 A binary layout is five names: ``n``, ``top_tier`` (a (2, m + 1) int64
 array of each micro tree's left and right child in the top tier),
@@ -46,33 +43,13 @@ which the decoder, the navigation index and the validator read.
 
 from __future__ import annotations
 
-import gc
 import math
 from collections import namedtuple
-from contextlib import contextmanager
-from itertools import chain
 
 import numpy as np
 
 from .bits import BitBuf
-from .trees import BinaryTree, OrdinalTree, bp_decode_binary, bp_encode_binary
-
-# parent edge types of ordinal micro trees, in the order (i)..(v)
-EDGE_NEW_LEFT, EDGE_CONT_LEFT, EDGE_NEW_RIGHT, EDGE_CONT_RIGHT, EDGE_EXTERNAL = range(5)
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector and restore its state after.
-    Code that allocates millions of small lists and tuples otherwise spends
-    a third or more of its time in collections."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+from .trees import BinaryTree, bp_decode_binary, bp_encode_binary
 
 
 def _follow(ptr: np.ndarray) -> np.ndarray:
@@ -95,16 +72,23 @@ def default_block(n: int) -> int:
 CoverStats = namedtuple("CoverStats", "m heavy_count max_light_trees")
 
 
-class _Cover:
-    """The arrays of a cover, shared by both tree kinds. Micro trees are
-    numbered in top-tier preorder, which is the preorder of their roots in
-    the tree.
+class BinaryCover:
+    """A binary cover as arrays, and a binary layout (see the module
+    docstring). Micro trees are numbered in top-tier preorder, which is the
+    preorder of their roots in the tree, and partition the nodes.
 
     - ``members[starts[i]:starts[i + 1]]``: the nodes of micro i in local
       preorder (ascending ids), so its root is ``members[starts[i]]``;
     - ``shape_id[i]`` indexes ``shape_bps``, the BP strings of the distinct
-      local shapes;
-    - ``fields[i]``: the micro tree's connections, one row per micro tree.
+      local shapes, numbered in the byte order of their rows;
+    - ``fields[i]``: the first and second portal of micro i in preorder,
+      each 1 + its null rank in the shape (0 for none).
+
+    The top tier is a (2, m + 1) int64 array of child ids, row 0 the left
+    children and row 1 the right ones, numbered as ``BinaryTree.left`` and
+    ``right``: micro i is id i + 1, column 0 is unused and 0 means no child.
+    Micro i's left child hangs from its first portal and its right child
+    from the second.
     """
 
     __slots__ = ("top_tier", "B", "n", "members", "starts", "shape_id",
@@ -119,21 +103,6 @@ class _Cover:
         self.shape_id = shape_id
         self.shape_bps: list[str] = shape_bps
         self.fields = fields
-
-
-class BinaryCover(_Cover):
-    """A binary cover as arrays, and a binary layout (see the module
-    docstring). Micro trees partition the nodes; shape ids number the
-    distinct shapes in the byte order of their rows. ``fields[i]`` is the
-    first and second portal of micro i in preorder, each 1 + its null rank
-    in the shape (0 for none). The top tier is a (2, m + 1) int64 array of
-    child ids, row 0 the left children and row 1 the right ones, numbered as
-    ``BinaryTree.left`` and ``right``: micro i is id i + 1, column 0 is
-    unused and 0 means no child. Micro i's left child hangs from its first
-    portal and its right child from the second.
-    """
-
-    __slots__ = ()
 
 
 class ShapeTables:
@@ -307,32 +276,6 @@ class BinaryPlacement:
         return kids
 
 
-class OrdinalCover(_Cover):
-    """An ordinal cover as arrays (see ``_Cover``). Micro trees share a node
-    only as the root of each. Shape ids number the distinct shapes in the
-    order the micro trees first name them. ``fields[i]`` is micro i's
-    external portal, its local preorder id and the 1-based child rank at
-    which the external children go in ((0, 0) for none), and its parent
-    edge type (``EDGE_*``). The top tier is an ``OrdinalTree`` with a dummy
-    root, node 1; micro i is node i + 2.
-    """
-
-    __slots__ = ()
-
-
-class _Comp:
-    """A component of the ordinal decomposition."""
-
-    __slots__ = ("members", "permanent", "left_att", "right_att", "ext_att")
-
-    def __init__(self, members):
-        self.members = members
-        self.permanent = False
-        self.left_att: list[list["_Comp"]] = []
-        self.right_att: list[list["_Comp"]] = []
-        self.ext_att: tuple[list["_Comp"], int, int] | None = None
-
-
 # ---------------------------------------------------------------------------
 # binary decomposition
 
@@ -461,236 +404,9 @@ def _finalize_binary(B: int, left, right, parent, comp, pnode, pside) -> BinaryC
     return BinaryCover(top, B, n, members, starts, shape_id, shape_bps, fields)
 
 
-# ---------------------------------------------------------------------------
-# ordinal decomposition
-
-# the greedy loop allocates lists per node; collecting them doubles its time
-@_gc_paused()
-def decompose_ordinal(t: OrdinalTree, B: int | None = None) -> OrdinalCover:
-    n = t.n
-    if n < 1:
-        raise ValueError("cannot decompose the empty tree")
-    if B is None:
-        B = default_block(n)
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    children = t.children
-    parent, size = _parent_size(t)
-    size = size.tolist()
-
-    ret: list[_Comp | None] = [None] * (n + 1)
-    rooted: dict[int, list[_Comp]] = {}
-    sealed: list[_Comp] = []
-
-    def seal(c: _Comp):
-        c.permanent = True
-        sealed.append(c)
-        rooted.setdefault(min(c.members), []).append(c)
-
-    for v in range(n, 0, -1):
-        kids = children[v]
-        heavy = [c for c in kids if size[c] >= B]
-        if len(heavy) >= 2:
-            mode = ("branch", set(heavy))
-        elif len(heavy) == 1 and ret[heavy[0]].permanent:
-            mode = ("gap", heavy[0])
-        else:
-            mode = None
-        ret[v] = _pack(v, kids, ret, seal, rooted, B, mode)
-
-    if not ret[t.root].permanent:
-        seal(ret[t.root])
-    return _finalize_ordinal(t, B, parent, sealed, rooted)
-
-
-def _pack(v, kids, ret, seal, rooted, B, mode) -> _Comp:
-    """Greedy packing of v's children; returns the component containing v."""
-    gap_child = mode[1] if mode and mode[0] == "gap" else None
-    branch_heavy = mode[1] if mode and mode[0] == "branch" else None
-    c: _Comp | None = None
-    seals = 0
-    pack_count = 0
-    last_sealed: _Comp | None = None
-    pending: list[int] = []
-
-    def flush(target: _Comp):
-        for hchild in pending:
-            target.left_att.append(rooted[hchild])
-        pending.clear()
-
-    for u in kids:
-        hc = ret[u]
-        if u == gap_child:
-            if c is None:
-                c = _Comp([v])
-            c.ext_att = (rooted[u], v, pack_count + 1)
-            continue
-        if branch_heavy is not None and u in branch_heavy:
-            if not hc.permanent:
-                seal(hc)
-            if c is not None:
-                seal(c)
-                seals += 1
-                last_sealed = c
-                flush(c)
-                c = None
-                pack_count = 0
-            if last_sealed is not None:
-                last_sealed.right_att.append(rooted[u])
-            else:
-                pending.append(u)
-            continue
-        # light child, or the single heavy child with an active component
-        if c is None:
-            c = hc
-            c.members.append(v)
-        else:
-            c.members.extend(hc.members)
-            c.left_att.extend(hc.left_att)
-            c.right_att.extend(hc.right_att)
-            if hc.ext_att is not None:
-                if c.ext_att is not None:
-                    raise AssertionError("two external edges in one component")
-                c.ext_att = hc.ext_att
-        pack_count += 1
-        if len(c.members) >= B:
-            seal(c)
-            seals += 1
-            last_sealed = c
-            if branch_heavy is not None:
-                flush(c)
-            c = None
-            pack_count = 0
-
-    if branch_heavy is not None:
-        if c is not None:
-            seal(c)
-            flush(c)
-            return c
-        if last_sealed is not None:
-            return last_sealed
-        c = _Comp([v])
-        seal(c)
-        flush(c)
-        return c
-    if c is None:
-        if last_sealed is not None:
-            # children were consumed exactly by seals; v lives in the last one
-            return last_sealed
-        c = _Comp([v])  # leaf
-    if seals and not c.permanent:
-        seal(c)
-    return c
-
-
-def _finalize_ordinal(t: OrdinalTree, B: int, parent: np.ndarray, sealed: list[_Comp],
-                      rooted: dict[int, list[_Comp]]) -> OrdinalCover:
-    n = t.n
-    root_groups = rooted.get(t.root, [])
-    if not root_groups:
-        raise AssertionError("no component rooted at the tree root")
-    # DFS over the attachment structure = preorder of the dummy-rooted top tier
-    order: list[_Comp] = []
-    etype: list[int] = []
-    kids_of: list[list[_Comp]] = []
-    stack = [(c, EDGE_NEW_LEFT if k == 0 else EDGE_CONT_LEFT)
-             for k, c in reversed(list(enumerate(root_groups)))]
-    while stack:
-        c, ty = stack.pop()
-        order.append(c)
-        etype.append(ty)
-        kids: list[tuple[_Comp, int]] = []
-        for group in c.left_att:
-            for j, ch in enumerate(group):
-                kids.append((ch, EDGE_NEW_LEFT if j == 0 else EDGE_CONT_LEFT))
-        for group in c.right_att:
-            for j, ch in enumerate(group):
-                kids.append((ch, EDGE_NEW_RIGHT if j == 0 else EDGE_CONT_RIGHT))
-        if c.ext_att is not None:
-            for ch in c.ext_att[0]:
-                kids.append((ch, EDGE_EXTERNAL))
-        kids_of.append([k[0] for k in kids])
-        stack.extend(reversed(kids))
-    if len(order) != len(sealed):
-        raise AssertionError("top tier does not reach every micro tree")
-    m = len(order)
-    index = {id(c): i for i, c in enumerate(order)}
-
-    # members sorted by (micro, id): ascending ids are the local preorder
-    sizes = np.fromiter((len(c.members) for c in order), np.int64, m)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    micro = np.repeat(np.arange(m), sizes)
-    key = micro * (n + 1) + np.fromiter(
-        chain.from_iterable(c.members for c in order), np.int64, int(starts[-1]))
-    key.sort()
-    members = key - micro * (n + 1)
-
-    def local(i, v):
-        """The local preorder id of member v of micro i."""
-        return np.searchsorted(key, i * (n + 1) + v) - starts[i] + 1
-
-    # shape id: one row (size, local parent of each local node) per micro,
-    # compared as bytes; a member's local parent is its parent in the tree
-    x = np.arange(1, len(members) + 1) - starts[micro]
-    w = int(sizes.max())
-    rows = np.zeros((m, 1 + w), dtype=np.int16 if w < 1 << 15 else np.int64)
-    rows[:, 0] = sizes
-    rows[micro, x] = np.where(x > 1, local(micro, parent[members]), 0)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # number the shapes in the order the micro trees first name them
-    by_first = np.argsort(first)
-    shape_id = np.argsort(by_first)[inverse.reshape(-1)]
-    shape_bps = []
-    for row in rows[first[by_first]].tolist():
-        # node x is "(" then the closes down to node x + 1's depth
-        mu, depth = row[0], [-1] + [0] * (row[0] + 1)
-        for x in range(1, mu + 1):
-            depth[x] = depth[row[x]] + 1
-        shape_bps.append("".join("(" + ")" * (depth[x] - depth[x + 1] + 1)
-                                 for x in range(1, mu + 1)))
-
-    fields = np.zeros((m, 3), dtype=np.int64)
-    fields[:, 2] = etype
-    ext = [(i, *c.ext_att[1:]) for i, c in enumerate(order) if c.ext_att is not None]
-    i, v, rank = np.array(ext, dtype=np.int64).reshape(-1, 3).T
-    fields[i, :2] = np.column_stack((local(i, v), rank))
-
-    ch_top = [[], [index[id(c)] + 2 for c in root_groups]]
-    ch_top += [[index[id(c)] + 2 for c in kids] for kids in kids_of]
-    return OrdinalCover(OrdinalTree(m + 1, ch_top), B, n, members, starts,
-                        shape_id, shape_bps, fields)
-
-
-def _ordinal_links(t: OrdinalTree):
-    """The children of nodes 1..n in order, flattened, and each node's
-    number of children."""
-    deg = np.fromiter(map(len, t.children[1:]), np.int64, t.n)
-    return np.fromiter(chain.from_iterable(t.children[1:]), np.int64, int(deg.sum())), deg
-
-
-def _parent_size(t: BinaryTree | OrdinalTree):
-    """Each node's parent and subtree size (entry 0 is 0). A subtree ends
-    at its last node in preorder, found by following last children with
-    pointer jumping."""
-    if isinstance(t, BinaryTree):
-        return _binary_links(t)[2:]
-    n = t.n
-    ids = np.arange(n + 1)
-    kids, deg = _ordinal_links(t)
-    parent = np.zeros(n + 1, dtype=np.int64)
-    parent[kids] = np.repeat(ids[1:], deg)
-    last = ids.copy()
-    has = deg > 0
-    last[1:][has] = kids[np.cumsum(deg)[has] - 1]
-    size = _follow(last) - ids + 1
-    size[0] = 0
-    return parent, size
-
-
 def _binary_links(t: BinaryTree):
     """Each node's left child, right child, parent and subtree size, as
-    arrays (entry 0 is 0); ``_parent_size`` gives the last two."""
+    arrays (entry 0 is 0)."""
     n = t.n
     ids = np.arange(n + 1)
     left = np.asarray(t.left, dtype=np.int64)
@@ -707,7 +423,7 @@ def _binary_links(t: BinaryTree):
 # ---------------------------------------------------------------------------
 # validation
 
-def validate_cover(cover: BinaryCover | OrdinalCover, t=None):
+def validate_cover(cover: BinaryCover, t=None):
     """Check the cover's structural invariants.
 
     Returns CoverStats if every invariant holds, otherwise the list of
@@ -716,10 +432,7 @@ def validate_cover(cover: BinaryCover | OrdinalCover, t=None):
     """
     out: list[str] = []
     if _validate_arrays(cover, out):
-        if isinstance(cover, BinaryCover):
-            _validate_binary(cover, t, out)
-        else:
-            _validate_ordinal(cover, t, out)
+        _validate_binary(cover, t, out)
     if out:
         return out
     return _stats(cover, t)
@@ -728,7 +441,7 @@ def validate_cover(cover: BinaryCover | OrdinalCover, t=None):
 def _stats(cover, t):
     heavy = light = 0
     if t is not None:
-        parent, size = _parent_size(t)
+        _, _, parent, size = _binary_links(t)
         big = size >= cover.B
         heavy = int(np.count_nonzero(big))
         light = int(np.count_nonzero(big[parent[1:]] & (size[1:] < cover.B)))
@@ -742,9 +455,8 @@ def _validate_arrays(cover, out: list[str]) -> bool:
     members, starts = np.asarray(cover.members), np.asarray(cover.starts)
     shape_id, fields = np.asarray(cover.shape_id), np.asarray(cover.fields)
     m = len(shape_id)
-    width = 2 if isinstance(cover, BinaryCover) else 3
     if (m < 1 or members.ndim != 1 or starts.shape != (m + 1,)
-            or fields.shape != (m, width) or starts[0] != 0 or starts[-1] != len(members)):
+            or fields.shape != (m, 2) or starts[0] != 0 or starts[-1] != len(members)):
         out.append("cover arrays have inconsistent lengths")
         return False
     mu = np.diff(starts)
@@ -763,13 +475,12 @@ def _validate_arrays(cover, out: list[str]) -> bool:
     shape_mu = np.array([len(bp) // 2 for bp in cover.shape_bps])
     for i in np.flatnonzero(shape_mu[shape_id] != mu).tolist():
         out.append(f"micro {i}: shape size differs from member count")
-    # each shape is a balanced BP string, an ordinal one of one tree
+    # each shape is a balanced BP string
     text = "".join(cover.shape_bps)
     opens = np.cumsum(np.frombuffer(text.encode(), dtype=np.uint8) == ord("("))
     excess = 2 * opens - np.arange(1, len(text) + 1)
     ends = np.cumsum([len(bp) for bp in cover.shape_bps]) - 1
-    if not out and (not set(text) <= {"(", ")"} or excess.min() < 0 or excess[ends].any()
-                    or width == 3 and np.count_nonzero(excess == 0) != len(ends)):
+    if not out and (not set(text) <= {"(", ")"} or excess.min() < 0 or excess[ends].any()):
         out.append("a shape is not a balanced BP string")
     return not out
 
@@ -825,69 +536,3 @@ def _validate_binary(cover: BinaryCover, t, out: list[str]):
     node_micro[members] = micro
     for i in np.unique(node_micro[wrong]).tolist():
         out.append(f"micro {i}: a child differs from the tree's (shape or portal)")
-
-
-def _validate_ordinal(cover: OrdinalCover, t, out: list[str]):
-    n, B = cover.n, cover.B
-    members, starts = cover.members, cover.starts
-    m = len(cover.shape_id)
-    mu = np.diff(starts)
-    micro = np.repeat(np.arange(m), mu)
-    count = np.bincount(members, minlength=n + 1)
-    for g in np.flatnonzero(count[1:] == 0).tolist():
-        out.append(f"node {g + 1} not covered")
-    # a node in several micro trees is the root of each
-    at = np.flatnonzero((count[members] > 1) & (members != members[starts[micro]]))
-    for g, i in zip(members[at].tolist(), micro[at].tolist()):
-        out.append(f"node {g} shared but not the root of micro {i}")
-    pos, rank, etype = cover.fields.T
-    bad = (pos < 0) | (pos > mu) | (rank < 0) | ((pos == 0) != (rank == 0))
-    bad |= (etype < 0) | (etype > EDGE_EXTERNAL)
-    for i in np.flatnonzero(bad).tolist():
-        out.append(f"micro {i}: fields out of range")
-    # the top tier: micro i is node i + 2, each a child once; an external
-    # portal holds the micro trees below it with edge type (v)
-    top = cover.top_tier
-    if top.n != m + 1 or len(top.children) != m + 2:
-        out.append(f"top tier has {top.n} nodes, not m + 1={m + 1}")
-        return
-    kids, deg = _ordinal_links(top)
-    kids -= 2
-    if ((kids < 0) | (kids >= m)).any() or (np.bincount(kids, minlength=m) != 1).any():
-        out.append("top tier does not reach every micro tree once")
-        return
-    up = np.repeat(np.arange(-1, m), deg)[etype[kids] == EDGE_EXTERNAL]
-    has_ext = np.zeros(m, dtype=bool)
-    has_ext[up[up >= 0]] = True
-    for i in np.flatnonzero((pos != 0) & ~has_ext).tolist():
-        out.append(f"micro {i}: external portal without children")
-    for i in np.flatnonzero((pos == 0) & has_ext).tolist():
-        out.append(f"micro {i}: external children without a portal")
-    if t is None or out:
-        return
-    if t.n != n:
-        out.append("tree size mismatch")
-        return
-    _, size = _parent_size(t)
-    roots = members[starts[:-1]]
-    for i in np.flatnonzero(size[roots] < min(B, n)).tolist():
-        out.append(f"micro {i}: root {roots[i]} is light")
-    # a member's children that lie in its micro tree alone form one run in
-    # sibling order, or two around a one-node gap, at most once per micro
-    # tree (path-node packing)
-    kids, deg = _ordinal_links(t)
-    sole = np.full(n + 1, -1)
-    sole[members] = micro
-    sole[count != 1] = -1
-    s = sole[kids]
-    par = np.repeat(np.arange(1, n + 1), deg)
-    cont = np.zeros(len(kids), dtype=bool)
-    cont[1:] = (par[1:] == par[:-1]) & (s[1:] == s[:-1])
-    start = (s >= 0) & ~cont
-    pairs, runs = np.unique(par[start] * m + s[start], return_counts=True)
-    held = np.isin(pairs, members * m + micro)
-    pairs, runs = pairs[held], runs[held]
-    for p, r in zip(pairs[runs > 2].tolist(), runs[runs > 2].tolist()):
-        out.append(f"micro {p % m}: node {p // m} children split into {r} runs")
-    for i in np.flatnonzero(np.bincount(pairs[runs == 2] % m, minlength=m) > 1).tolist():
-        out.append(f"micro {i}: more than one child gap")

@@ -58,7 +58,7 @@ from collections import namedtuple
 import numpy as np
 
 from .bits import BitBuf, BitCursor, MalformedStream, gamma_decode
-from .cover import BinaryCover, BinaryPlacement, OrdinalCover, decompose_binary
+from .cover import BinaryCover, BinaryPlacement, decompose_binary
 from .trees import BinaryTree, OrdinalTree, binary_from_child_flags, fcns, fcns_inverse
 
 MAGIC = b"HST2"
@@ -158,13 +158,6 @@ class ShapeCode:
             raise MalformedStream("codebook lengths violate Kraft")
         codes = (ends - (1 << (L - lens))) >> (L - lens)
         self.codewords = dict(zip(order, zip(codes.tolist(), lens.tolist())))
-
-    def kraft_sum(self) -> float:
-        return sum(2.0 ** -l for l in self.code_len.values())
-
-    def total_bits(self, freq: dict | None = None) -> int:
-        f = self.freq if freq is None else freq
-        return sum(self.code_len[s] * c for s, c in f.items())
 
     def read_codewords(self, cur: BitCursor, m: int) -> np.ndarray:
         """Read ``m`` codewords that fill the rest of the cursor's stream,
@@ -539,7 +532,7 @@ def space_report(t: BinaryTree | OrdinalTree, B: int | None = None) -> dict[str,
     return dict(blob.parts)
 
 
-def cover_stats(cover: BinaryCover | OrdinalCover) -> dict:
+def cover_stats(cover: BinaryCover) -> dict:
     """Cover statistics for reports: the number of micro trees, distinct
     shapes, mean micro-tree size and distinct symbols (the codebook's size)."""
     ids = cover.shape_id

@@ -3,8 +3,7 @@ min-rooted Cartesian tree (leftmost tie-breaking), encode it, and answer
 
     rmq(i, j) = inorder_rank(LCA(inorder_select(i), inorder_select(j)))
 
-plus runs analysis with the Narayana lower bound and the Dyck-path peak
-bijection."""
+plus runs analysis with the Narayana lower bound."""
 
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import math
 
 import numpy as np
 
-from .bits import BitBuf, MalformedStream
 from .cover import _decompose_binary_links
 from .hypercodec import HsBlob, _write_blob
 from .navigate import NavIndex
@@ -166,49 +164,3 @@ def runs_profile(values) -> RunsProfile:
     if run_len == 1:
         s += 1
     return RunsProfile(n, r, s)
-
-
-def bp_encode_postorder_variant(t: BinaryTree) -> BitBuf:
-    """The runs-analysis BP variant: code(t) = code(L) "(" code(R) ")".
-
-    Nodes appear at their inorder position; peaks of the resulting Dyck path
-    are exactly the run ends of the underlying array.
-    """
-    buf = BitBuf()
-    # post-style emission: left subtree, then "(", right subtree, then ")"
-    stack = [(t.root, 0)] if t.n else []
-    while stack:
-        v, phase = stack.pop()
-        if v == 0:
-            continue
-        if phase == 0:
-            stack.append((v, 1))
-            stack.append((t.left[v], 0))
-        elif phase == 1:
-            buf.append_bit(1)
-            stack.append((v, 2))
-            stack.append((t.right[v], 0))
-        else:
-            buf.append_bit(0)
-    return buf
-
-
-def dyck_peaks(bp: BitBuf) -> int:
-    """Number of "()" occurrences; input must be balanced and prefix-valid."""
-    depth = 0
-    peaks = 0
-    prev = 0
-    for i in range(len(bp)):
-        b = bp.get(i)
-        if b:
-            depth += 1
-        else:
-            depth -= 1
-            if depth < 0:
-                raise MalformedStream("unbalanced BP string")
-            if prev:
-                peaks += 1
-        prev = b
-    if depth != 0:
-        raise MalformedStream("unbalanced BP string")
-    return peaks

@@ -12,8 +12,14 @@ lg(1/P[t]) + 2 bits, so
 
     |code(t)| <= lg(1/P[t]) + 2*floor(lg(|t|+1)) + 3.
 
-The decoder reads the remaining buffer as one dyadic point and walks the
-same intervals, so zero padding after the body is harmless.
+The decoder reads the remaining buffer as one dyadic point V/2^j and walks
+the same intervals, so zero padding after the body is harmless. It keeps
+the point's distance above low, gap = V*den - num*2^j, in place of num: a
+split l is the largest whose start lies at or below the point,
+width*acc[l-1]*2^j <= gap*total, and gap then drops by that start. Each
+step multiplies by a row's numbers only, never two numbers as long as
+the code, as V*den*total did; ``den`` serves only to time the gcd
+reductions.
 """
 
 from __future__ import annotations
@@ -30,12 +36,13 @@ INF = float("inf")
 def _lowest_terms(num: int, width: int, den: int) -> tuple[int, int, int, int]:
     """``num``, ``width`` and ``den`` divided by their greatest common
     divisor, which leaves low and P, and so every emitted bit, as they
-    are; then the bit length of ``den`` past which to reduce again. A gcd
-    costs time quadratic in the bit length, so it runs only once ``den``
-    has doubled: under sources whose splits share few factors with their
-    totals (binomial ones) a gcd at every split would cost more than it
-    saves. ``width`` goes first: where it is 1, as under the BST source,
-    ``math.gcd`` stops at once."""
+    are (the decoder passes its ``gap`` as ``num``); then the bit length
+    of ``den`` past which to reduce again. A gcd costs time quadratic in
+    the bit length, so it runs only once ``den`` has doubled: under
+    sources whose splits share few factors with their totals (binomial
+    ones) a gcd at every split would cost more than it saves. ``width``
+    goes first: where it is 1, as under the BST source, ``math.gcd`` stops
+    at once."""
     g = math.gcd(width, den, num)
     num, width, den = num // g, width // g, den // g
     return num, width, den, 2 * den.bit_length() + 64
@@ -91,7 +98,7 @@ def dfs_arith_decode(source: FixedSizeSource, buf: BitBuf) -> BinaryTree:
     V, j = cur.read_remaining_int()
     two_j = 1 << j
     cum_weights = source.cum_weights
-    num = 0
+    gap = V          # V*den - num*2^j, with num = 0 and den = 1
     width = 1
     den = 1
     reduce_past = 64
@@ -112,12 +119,12 @@ def dfs_arith_decode(source: FixedSizeSource, buf: BitBuf) -> BinaryTree:
             continue
         acc, total = cum_weights(s)
         # pick the largest l with low + P*acc[l-1]/total <= V/2^j
-        lhs_base = num * total
-        target = V * den * total
+        target = gap * total
+        width_j = width * two_j
         lo, hi = 0, s - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if (lhs_base + width * acc[mid - 1]) * two_j <= target:
+            if width_j * acc[mid - 1] <= target:
                 lo = mid
             else:
                 hi = mid - 1
@@ -125,11 +132,11 @@ def dfs_arith_decode(source: FixedSizeSource, buf: BitBuf) -> BinaryTree:
         w = acc[l] - (acc[l - 1] if l else 0)
         if w == 0:
             raise MalformedStream("arithmetic stream decodes to a zero-probability split")
-        num = lhs_base + width * (acc[l] - w)
+        gap = target - width_j * (acc[l] - w)
         width *= w
         den *= total
         if den.bit_length() > reduce_past:
-            num, width, den, reduce_past = _lowest_terms(num, width, den)
+            gap, width, den, reduce_past = _lowest_terms(gap, width, den)
         r = s - 1 - l
         if r:
             stack.append((r, v, 1))

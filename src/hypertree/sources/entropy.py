@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ..trees import BinaryTree, OrdinalTree, annotate, fcns_full
+from ..trees import BinaryTree, OrdinalTree, fcns_full
 from . import counting
 from .models import BstSource, FixedSizeSource, SourceModel, UniformSubclass
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from ..trees import BinaryTree, OrdinalTree, annotate
+from ..trees import BinaryTree, OrdinalTree
 from . import counting
 
 INF = float("inf")
@@ -142,13 +142,6 @@ class TypeProcess(SourceModel):
         tp.name = "motzkin"
         return tp
 
-    @staticmethod
-    def uniform_types() -> "TypeProcess":
-        q = Fraction(1, 4)
-        tp = TypeProcess.memoryless(q, q, q, q)
-        tp.name = "memoryless-uniform"
-        return tp
-
 
 # ---------------------------------------------------------------------------
 
@@ -188,10 +181,6 @@ class FixedSizeSource(SourceModel):
                 raise EmptyClassError(f"{self.name}: split row {s} is not normalized")
             got = self._cum_cache[s] = (acc, total)
         return got
-
-    def split_prob(self, l: int, r: int) -> Fraction:
-        w, total = self.split_weights(l + r + 1)
-        return Fraction(w[l], total)
 
     def _weights(self, s: int) -> tuple[list[int], int]:
         raise NotImplementedError
@@ -417,6 +406,19 @@ def _lgfrac(num: int, den: int) -> float:
     return sh + _lg(a / b)
 
 
+def _ordinal_sizes(t: OrdinalTree) -> list[int]:
+    """Each node's subtree size (entry 0 is 0): reverse preorder visits
+    every child before its parent."""
+    children = t.children
+    size = [0] * (t.n + 1)
+    for v in range(t.n, 0, -1):
+        s = 1
+        for c in children[v]:
+            s += size[c]
+        size[v] = s
+    return size
+
+
 # ---------------------------------------------------------------------------
 
 class DegreeDist(SourceModel):
@@ -453,7 +455,7 @@ class CompositionSource(SourceModel):
     name = "composition"
 
     def _bits(self, t: OrdinalTree) -> float:
-        size = annotate(t).subtree_size
+        size = _ordinal_sizes(t)
         return float(sum(size[v] - 2 for v in range(1, t.n + 1) if size[v] >= 2))
 
 
@@ -465,7 +467,7 @@ class LrmSource(SourceModel):
     name = "lrm"
 
     def _bits(self, t: OrdinalTree) -> float:
-        size = annotate(t).subtree_size
+        size = _ordinal_sizes(t)
         total = 0.0
         for v in range(1, t.n + 1):
             pref = 0

@@ -1,6 +1,6 @@
 """Tree representations (pointerless, preorder-numbered), balanced-parenthesis
-codecs for binary and ordinal trees, the first-child-next-sibling bijection,
-and per-node annotations.
+codecs for binary and ordinal trees and the first-child-next-sibling
+bijection.
 
 Nodes are identified by their preorder index (1-based); 0 is the null
 sentinel. All traversals are iterative so degenerate trees of any size work.
@@ -334,80 +334,6 @@ def fcns_full(t: OrdinalTree) -> BinaryTree:
     b = fcns([t])
     # a state is a node of b, or 0 for a null made a leaf
     return BinaryTree.grow(b.root, lambda v: (b.left[v], b.right[v]) if v else (None, None))
-
-
-# ---------------------------------------------------------------------------
-# annotations
-
-class TreeAnnotation:
-    """Per-node annotations; binary trees also get type and inorder rank."""
-
-    __slots__ = ("subtree_size", "height", "depth", "node_type", "degree",
-                 "inorder_rank")
-
-    def __init__(self):
-        self.subtree_size: list[int] = []
-        self.height: list[int] = []
-        self.depth: list[int] = []
-        self.node_type: list[int] | None = None
-        self.degree: list[int] | None = None
-        self.inorder_rank: list[int] | None = None
-
-
-def annotate(t: BinaryTree | OrdinalTree) -> TreeAnnotation:
-    a = TreeAnnotation()
-    n = t.n
-    size = [0] * (n + 1)
-    height = [0] * (n + 1)
-    depth = [0] * (n + 1)
-    a.subtree_size, a.height, a.depth = size, height, depth
-    if n == 0:
-        return a
-    if isinstance(t, BinaryTree):
-        left, right = t.left, t.right
-        a.node_type = [0] * (n + 1)
-        a.inorder_rank = [0] * (n + 1)
-        # preorder ids are 1..n: reverse preorder is a valid bottom-up order
-        for v in range(n, 0, -1):
-            l, r = left[v], right[v]
-            size[v] = 1 + size[l] + size[r]
-            height[v] = 1 + max(height[l], height[r])
-            a.node_type[v] = (2 if r else 1) if l else (3 if r else 0)
-        for v in range(1, n + 1):
-            if left[v]:
-                depth[left[v]] = depth[v] + 1
-            if right[v]:
-                depth[right[v]] = depth[v] + 1
-        # inorder numbering, iterative
-        rank = 0
-        stack = []
-        v = t.root
-        while stack or v:
-            while v:
-                stack.append(v)
-                v = left[v]
-            v = stack.pop()
-            rank += 1
-            a.inorder_rank[v] = rank
-            v = right[v]
-    else:
-        ch = t.children
-        a.degree = [0] * (n + 1)
-        for v in range(n, 0, -1):
-            kids = ch[v]
-            a.degree[v] = len(kids)
-            s = 1
-            h = 0
-            for c in kids:
-                s += size[c]
-                if height[c] > h:
-                    h = height[c]
-            size[v] = s
-            height[v] = h + 1
-        for v in range(1, n + 1):
-            for c in ch[v]:
-                depth[c] = depth[v] + 1
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,15 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import figure_tree
+from ordinal_cover import decompose_ordinal, validate_ordinal_cover
+from reference import bp_encode_postorder_variant, dyck_peaks, uniform_types
 from hypertree.bits import BitBuf
-from hypertree.cover import (
-    CoverStats, decompose_binary, decompose_ordinal, validate_cover,
-)
+from hypertree.cover import CoverStats, decompose_binary, validate_cover
 from hypertree.hypercodec import (
     build_shape_code, hs_decode_binary, hs_decode_ordinal, hs_encode_binary,
     hs_encode_ordinal,
 )
-from hypertree.rmq import (
-    bp_encode_postorder_variant, cartesian_tree, dyck_peaks, lg_binom,
-    lg_narayana, rmq_build, runs_profile,
-)
+from hypertree.rmq import cartesian_tree, lg_binom, lg_narayana, rmq_build, runs_profile
 from hypertree.trees import (
     bp_decode_binary, bp_encode_binary, bp_encode_ordinal, ordinal_path,
     ordinal_star,
@@ -70,7 +67,7 @@ def roundtrip_corpus():
 
     bin_sources = [
         ("bst", BST), ("uniform", S.UniformSource()),
-        ("memoryless", S.TypeProcess.uniform_types()),
+        ("memoryless", uniform_types()),
         ("almostpath", S.AlmostPathSource(4)),
     ]
     for name, src in bin_sources:
@@ -110,7 +107,7 @@ def roundtrip_corpus():
                 space.append((name, t.n, len(blob)))
             if i % 25 == 0:
                 validated += 1
-                if not isinstance(validate_cover(cov, t), CoverStats):
+                if not isinstance(validate_ordinal_cover(cov, t), CoverStats):
                     violations += 1
 
     elapsed = time.perf_counter() - t0
@@ -377,11 +374,12 @@ def test_criterion_10_cover_validation(roundtrip_corpus, rng):
         if rng.random() < 0.5:
             t = S.sample(rng.choice([BST, S.UniformSource()]), n, rng.getrandbits(32))
             cov = decompose_binary(t, B)
+            res = validate_cover(cov, t)
         else:
             t = S.sample(rng.choice([S.LrmSource(), S.CompositionSource()]),
                          n, rng.getrandbits(32))
             cov = decompose_ordinal(t, B)
-        res = validate_cover(cov, t)
+            res = validate_ordinal_cover(cov, t)
         if not isinstance(res, CoverStats):
             extra += 1
     assert extra == 0

@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import induced_shapes, micro_shapes, random_bst
+from ordinal_cover import (
+    EDGE_CONT_LEFT, EDGE_CONT_RIGHT, EDGE_NEW_LEFT, EDGE_NEW_RIGHT, decompose_ordinal,
+    validate_ordinal_cover,
+)
+from reference import annotate
 from hypertree.cover import (
-    BinaryCover, BinaryPlacement, CoverStats, EDGE_CONT_LEFT, EDGE_CONT_RIGHT,
-    EDGE_NEW_LEFT, EDGE_NEW_RIGHT, ShapeTables, _binary_links, _finalize_binary,
-    _follow, decompose_binary, decompose_ordinal, default_block, validate_cover,
+    BinaryCover, BinaryPlacement, CoverStats, ShapeTables, _binary_links, _finalize_binary,
+    _follow, decompose_binary, default_block, validate_cover,
 )
 from hypertree.hypercodec import hs_encode_binary, parse_binary_blob
 from hypertree.rmq import cartesian_tree
 from hypertree.sources.counting import iter_shapes, shape_to_tree
 from hypertree.bits import BitBuf
 from hypertree.trees import (
-    BinaryTree, OrdinalTree, annotate, bp_decode_binary, bp_encode_binary, left_chain,
+    BinaryTree, OrdinalTree, bp_decode_binary, bp_encode_binary, left_chain,
     ordinal_path, ordinal_star, right_chain, single_node,
 )
 from hypertree import sources as S
@@ -159,7 +163,7 @@ def test_binary_cover_deterministic(rng):
 def test_ordinal_star_shared_roots():
     t = ordinal_star(60)
     cov = decompose_ordinal(t, 6)
-    res = validate_cover(cov, t)
+    res = validate_ordinal_cover(cov, t)
     assert isinstance(res, CoverStats)
     # the micro trees that hold a node some other micro tree holds too
     micro = np.repeat(np.arange(len(cov.shape_id)), np.diff(cov.starts))
@@ -186,7 +190,7 @@ def test_ordinal_cover_random(rng):
         else:
             t = S.sample(S.CompositionSource(), n, rng.getrandbits(32))
         cov = decompose_ordinal(t, B)
-        res = validate_cover(cov, t)
+        res = validate_ordinal_cover(cov, t)
         assert isinstance(res, CoverStats), (n, B, kind, res[:4])
         assert OrdinalTree.from_links(1, cov.top_tier.children) == cov.top_tier
         assert micro_shapes(cov) == induced_shapes(t, cov)
@@ -376,17 +380,17 @@ def _corruptions(cov):
 def test_validate_corrupt_arrays_never_raise(rng):
     # every corruption of every array yields violation strings, with and
     # without the tree; the uncorrupted covers hold
-    trees = [(decompose_binary, random_bst(rng, 200)),
-             (decompose_ordinal, S.sample(S.LrmSource(), 200, 7)),
-             (decompose_ordinal, ordinal_star(100))]
-    for decompose, t in trees:
+    trees = [(decompose_binary, validate_cover, random_bst(rng, 200)),
+             (decompose_ordinal, validate_ordinal_cover, S.sample(S.LrmSource(), 200, 7)),
+             (decompose_ordinal, validate_ordinal_cover, ordinal_star(100))]
+    for decompose, validate, t in trees:
         for B in (2, 5):
-            assert isinstance(validate_cover(decompose(t, B), t), CoverStats)
+            assert isinstance(validate(decompose(t, B), t), CoverStats)
             for k, corrupt in enumerate(_corruptions(decompose(t, B))):
                 cov = decompose(t, B)
                 corrupt(cov)
                 for tree in (None, t):
-                    out = validate_cover(cov, tree)
+                    out = validate(cov, tree)
                     assert isinstance(out, list) and out, (decompose.__name__, B, k)
 
 
@@ -399,19 +403,19 @@ def test_validate_top_tier_corruption(rng):
     cases = []
     cov = decompose_binary(t, 3)
     cov.top_tier[:, 1] = cov.top_tier[::-1, 1].copy()
-    cases.append((cov, t))
+    cases.append((validate_cover, cov, t))
     for at, value in ((2, 1), (1, -1000)):
         cov = decompose_binary(t, 3)
         cov.top_tier[0, at] = value
-        cases.append((cov, t))
+        cases.append((validate_cover, cov, t))
     cov = decompose_ordinal(o, 3)
     cov.top_tier.children[1].append(2)
-    cases.append((cov, o))
+    cases.append((validate_ordinal_cover, cov, o))
     cov = decompose_ordinal(lrm, 3)
     cov.fields[np.flatnonzero(cov.fields[:, 0])[0], :2] = 0
-    cases.append((cov, lrm))
-    for cov, tree in cases:
-        out = validate_cover(cov, tree)
+    cases.append((validate_ordinal_cover, cov, lrm))
+    for validate, cov, tree in cases:
+        out = validate(cov, tree)
         assert isinstance(out, list) and out
 
 
@@ -425,7 +429,7 @@ def test_validate_ordinal_linear(tree):
     t = tree()
     cov = decompose_ordinal(t)
     t0 = time.perf_counter()
-    res = validate_cover(cov, t)
+    res = validate_ordinal_cover(cov, t)
     elapsed = time.perf_counter() - t0
     assert isinstance(res, CoverStats), res[:4]
     assert elapsed < 2.0
@@ -463,7 +467,7 @@ def test_ordinal_34_nodes_block6(rng):
     for _ in range(20):
         t = S.sample(S.LrmSource(), 34, rng.getrandbits(32))
         cov = decompose_ordinal(t, 6)
-        assert isinstance(validate_cover(cov, t), CoverStats)
+        assert isinstance(validate_ordinal_cover(cov, t), CoverStats)
         assert np.diff(cov.starts).max() <= 12
         assert 2 <= len(cov.shape_id) <= 8 * 34 // 6
 

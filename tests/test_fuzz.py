@@ -21,8 +21,8 @@ from hypertree.hypercodec import (
     hs_encode_ordinal,
 )
 from hypertree.navigate import build_nav
-from hypertree.trees import annotate
 from hypertree import sources as S
+from reference import annotate, uniform_types
 
 MUTATIONS_PER_BLOB = 200
 
@@ -106,7 +106,7 @@ def test_fuzz_binary_blobs():
     count = both = 0
     for _ in range(24):
         src = rng.choice([S.BstSource(), S.UniformSource(), S.AlmostPathSource(2),
-                          S.TypeProcess.uniform_types()])
+                          uniform_types()])
         t = S.sample(src, rng.randint(1, 400), rng.getrandbits(32))
         blob = hs_encode_binary(t, rng.choice([None, 1, 2, 3, 6, 20]))
         for kind, data in _mutations(rng, blob.to_bytes(), len(blob) - 32):

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import random_bst
+from reference import annotate
 from hypertree.bits import MalformedStream
 from hypertree.cover import decompose_binary
 from hypertree.hypercodec import hs_encode_binary, hs_encode_ordinal
 from hypertree.navigate import NavIndex, build_nav
 from hypertree.rmq import rmq_build
-from hypertree.trees import annotate, left_chain, ordinal_star, right_chain, single_node
+from hypertree.trees import left_chain, ordinal_star, right_chain, single_node
 from hypertree import sources as S
 
 

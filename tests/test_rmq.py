@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from hypertree.bits import BitBuf, MalformedStream
-from hypertree.cover import _binary_links, decompose_ordinal
+from hypertree.cover import _binary_links
 from hypertree.hypercodec import hs_encode_binary
-from hypertree.rmq import (
-    _cartesian_links, bp_encode_postorder_variant, cartesian_tree, dyck_peaks,
-    lg_narayana, rmq_build, runs_profile,
-)
-from hypertree.trees import BinaryTree, annotate, bp_encode_binary, ordinal_path
+from hypertree.rmq import _cartesian_links, cartesian_tree, lg_narayana, rmq_build, runs_profile
+from hypertree.trees import BinaryTree, bp_encode_binary, ordinal_path
+from ordinal_cover import decompose_ordinal
+from reference import annotate, bp_encode_postorder_variant, dyck_peaks
 
 PAPER_ARRAY = (2, 3, 4, 1, 6, 5, 7, 9, 10, 8)
 

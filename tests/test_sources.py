@@ -1,13 +1,16 @@
 import collections
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from scipy.stats import chisquare
 
 from conftest import figure_tree, micro_shapes, random_bst, shuffled_uniform
-from hypertree.cover import decompose_binary, decompose_ordinal
+from ordinal_cover import decompose_ordinal
+from reference import annotate, split_prob, uniform_types
+from hypertree.cover import decompose_binary
 from hypertree.trees import (
     BinaryTree, OrdinalTree, bp_encode_binary, left_chain, ordinal_path,
     ordinal_star, single_node,
@@ -23,7 +26,7 @@ UNI = S.UniformSource()
 # --- log-probabilities ------------------------------------------------------
 
 def test_log_prob_memoryless_quarter():
-    tp = S.TypeProcess.uniform_types()
+    tp = uniform_types()
     for t in (single_node(), left_chain(7), figure_tree()):
         assert abs(tp.log_prob(t).log_prob_bits - 2 * t.n) < 1e-9
 
@@ -48,6 +51,26 @@ def test_log_prob_kind_mismatch():
         BST.log_prob(ordinal_star(3))
     with pytest.raises(TypeError):
         S.LrmSource().log_prob(single_node())
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 2 ** 12])
+def test_ordinal_log_prob_matches_annotate_sizes(n):
+    # the LRM and composition log-probabilities, from subtree sizes by the
+    # reference annotation loops, bit for bit as floats
+    trees = [ordinal_star(n), ordinal_path(n),
+             S.sample(S.LrmSource(), n, S.derive_seed("ordinal-lp", "lrm", n)),
+             S.sample(S.CompositionSource(), n, S.derive_seed("ordinal-lp", "composition", n))]
+    for t in trees:
+        size = annotate(t).subtree_size
+        lrm = 0.0
+        for v in range(1, t.n + 1):
+            pref = 0
+            for c in t.children[v]:
+                pref += size[c]
+                lrm += math.log2(pref)
+        comp = float(sum(size[v] - 2 for v in range(1, t.n + 1) if size[v] >= 2))
+        assert S.LrmSource().log_prob(t).log_prob_bits == lrm
+        assert S.CompositionSource().log_prob(t).log_prob_bits == comp
 
 
 def test_uniform_source_is_uniform(rng):
@@ -160,8 +183,8 @@ def test_monotonicity_predicate():
     def holds(src, lim):
         for l in range(lim):
             for r in range(lim):
-                p = src.split_prob(l, r)
-                if src.split_prob(l + 1, r) > p or src.split_prob(l, r + 1) > p:
+                p = split_prob(src, l, r)
+                if split_prob(src, l + 1, r) > p or split_prob(src, l, r + 1) > p:
                     return False
         return True
 
@@ -265,7 +288,7 @@ def test_sampler_sizes_and_membership(rng):
 
 
 def test_sampler_type_process_cap():
-    tp = S.TypeProcess.uniform_types()
+    tp = uniform_types()
     for i in range(100):
         t = S.sample(tp, 50, S.derive_seed("cap", i))
         assert 1 <= t.n <= 50
@@ -485,6 +508,18 @@ def test_dfs_arith_uniform_4096_roundtrip():
     code = S.dfs_arith_encode(UNI, t)
     assert S.dfs_arith_decode(UNI, code) == t
     assert len(code) <= UNI.log_prob(t).log_prob_bits + 2 * 12 + 3
+
+
+def test_dfs_arith_bst_65536_decode_time():
+    # the decoder's state grows by a small factor per node, not by a
+    # product as long as the code, so a 2^16 BST decodes in about a second
+    t = S.sample(BST, 2 ** 16, 5)
+    code = S.dfs_arith_encode(BST, t)
+    t0 = time.perf_counter()
+    back = S.dfs_arith_decode(BST, code)
+    elapsed = time.perf_counter() - t0
+    assert back == t
+    assert elapsed < 20.0, elapsed
 
 
 def test_dfs_arith_rejects_zero_probability():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import FIGURE_BP, FIGURE_BP_WRAPPED, figure_tree, random_bst
+from reference import annotate
 from hypertree import sources as S
 from hypertree.bits import BitBuf, MalformedStream
 from hypertree import trees
 from hypertree.trees import (
-    BinaryTree, OrdinalTree, annotate, binary_from_child_flags, bp_decode_binary, bp_decode_ordinal,
+    BinaryTree, OrdinalTree, binary_from_child_flags, bp_decode_binary, bp_decode_ordinal,
     bp_encode_binary, bp_encode_ordinal, fcns, fcns_full, fcns_inverse,
     left_chain, ordinal_path, ordinal_star, single_node,
 )
